@@ -22,11 +22,11 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "net/bandwidth.h"
 #include "scenario/parse.h"
 #include "sweep/report.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
+#include "transfer/bandwidth.h"
 #include "transfer/link.h"
 #include "transfer/scheduler.h"
 #include "util/table.h"
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   util::Table ceiling({"link", "up kB/s", "down kB/s", "delta_repair min",
                        "analytic/day", "measured/day", "analytic:measured"});
   for (const std::string& name : spec.links) {
-    const util::Result<net::LinkProfile> link =
+    const util::Result<transfer::LinkProfile> link =
         transfer::FindLinkProfile(name);
     if (!link.ok()) {
       std::cerr << link.status().ToString() << "\n";

@@ -1,6 +1,7 @@
-// Micro-benchmark M4: simulator substrate throughput - calendar queue event
-// rates, whole-network rounds per second at a small scale, and the
-// availability-monitor query path the estimator-driven placement leans on.
+// Simulator micro-benchmarks: RNG draws, calendar queue event rates,
+// whole-network rounds per second at a small scale, the availability-monitor
+// query path the estimator-driven placement leans on, and the repair
+// episode (BuildPool / RepairEpisode) on a warmed world.
 
 #include <benchmark/benchmark.h>
 
@@ -18,9 +19,7 @@ namespace {
 
 using namespace p2p;
 
-// The per-call bounded draw vs the batch the repair sampler uses. The batch
-// is bit-identical to per-call draws by contract (RngTest proves it); the
-// bench quantifies what the amortized call overhead is worth.
+// The per-call bounded draw every sampler builds on.
 void BM_RngUniformInt(benchmark::State& state) {
   util::Rng rng(1);
   int64_t acc = 0;
@@ -31,19 +30,6 @@ void BM_RngUniformInt(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngUniformInt);
-
-void BM_RngUniformIntBatch(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  util::Rng rng(1);
-  int64_t out[64];
-  for (auto _ : state) {
-    rng.UniformIntBatch(0, 24999, out, n);
-    benchmark::DoNotOptimize(out[0]);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_RngUniformIntBatch)->Arg(8)->Arg(64);
 
 void BM_CalendarQueueScheduleDrain(benchmark::State& state) {
   const int events_per_round = static_cast<int>(state.range(0));
@@ -120,10 +106,9 @@ void BM_MonitorAvailabilityQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_MonitorAvailabilityQuery)->Arg(16)->Arg(256)->Arg(1024);
 
-// The batched per-episode snapshot: repeated Observe calls within one round
-// (a peer pooled by many repairing owners) are served from the per-round
-// memo instead of recomputing the window sum.
-void BM_MonitorObserveMemoized(benchmark::State& state) {
+// The full observation triple the estimator scores per pooled candidate:
+// age, last-seen, and the window query above.
+void BM_MonitorObserve(benchmark::State& state) {
   sim::Round now = 0;
   const auto mon = SessionHeavyMonitor(static_cast<int>(state.range(0)), &now);
   const sim::Round window = 90 * sim::kRoundsPerDay;
@@ -134,7 +119,7 @@ void BM_MonitorObserveMemoized(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MonitorObserveMemoized)->Arg(256)->Arg(1024);
+BENCHMARK(BM_MonitorObserve)->Arg(256)->Arg(1024);
 
 // A warmed-up steady-state world for episode-level benches: paper churn
 // profiles, population `peers`, run far enough past bootstrap that partner

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "net/bandwidth.h"
+#include "transfer/bandwidth.h"
 #include "util/table.h"
 
 int main() {
@@ -41,10 +41,10 @@ int main() {
   util::Table costs({"link", "down kB/s", "up kB/s", "download s", "repair d=64",
                      "repair d=128 (min)", "max repairs/day (d=128)",
                      "initial upload (h)", "restore 1 archive (min)"});
-  for (const net::LinkProfile& link :
-       {net::LinkProfile::Dsl2009(), net::LinkProfile::ModernDsl(),
-        net::LinkProfile::Ftth()}) {
-    const net::RepairCostModel model(link, kArchiveBytes, kK, kM);
+  for (const transfer::LinkProfile& link :
+       {transfer::LinkProfile::Dsl2009(), transfer::LinkProfile::ModernDsl(),
+        transfer::LinkProfile::Ftth()}) {
+    const transfer::RepairCostModel model(link, kArchiveBytes, kK, kM);
     costs.BeginRow();
     costs.Add(link.name);
     costs.Add(link.download_bytes_per_s / 1024.0, 0);
@@ -61,8 +61,8 @@ int main() {
   // The paper's usability argument: "if we want to limit the cost to one
   // repair per day, with 32 archives (4 GB of data), the repair rate should
   // be less than one per month approximatively."
-  const net::RepairCostModel dsl(net::LinkProfile::Dsl2009(), kArchiveBytes, kK,
-                                 kM);
+  const transfer::RepairCostModel dsl(transfer::LinkProfile::Dsl2009(),
+                                      kArchiveBytes, kK, kM);
   const double budget_per_archive_per_day = 1.0 / 32.0;
   std::printf(
       "\n# Feasibility: one repair/day budget, 32 archives (4 GB)\n"

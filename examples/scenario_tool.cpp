@@ -224,9 +224,10 @@ int main(int argc, char** argv) {
   }
   if (command != "run") return Usage(argv[0]);
 
-  if (peers > 0) s.peers = static_cast<uint32_t>(peers);
-  if (rounds > 0) s.rounds = rounds;
-  if (seed >= 0) s.seed = static_cast<uint64_t>(seed);
+  if (auto st = scenario::ApplyScaleFlags(peers, rounds, seed, &s); !st.ok()) {
+    std::cerr << st.ToString() << "\n";
+    return 1;
+  }
   if (!policy_spec.empty()) {
     auto parsed = core::PolicySpec::Parse(policy_spec);
     if (!parsed.ok()) {

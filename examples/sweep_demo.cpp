@@ -16,6 +16,7 @@
 // (`scenario_tool metrics` lists them; empty = the default set). Output on
 // stdout is byte-identical for any --threads value.
 
+#include <climits>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -91,6 +92,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  if (auto st = util::CheckFlagRange("replicates", replicates, 1, INT_MAX);
+      !st.ok()) {
+    std::cerr << st.ToString() << "\n";
+    return 1;
+  }
   spec.replicates = static_cast<int>(replicates);
   if (auto st = scenario::ParseIntList(thresholds, &spec.repair_thresholds);
       !st.ok()) {

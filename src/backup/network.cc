@@ -94,7 +94,7 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
   partner_cap_ = static_cast<int>(options.max_partner_factor * n_total);
 
   if (options_.transfer_enabled) {
-    const util::Result<net::LinkProfile> link =
+    const util::Result<transfer::LinkProfile> link =
         transfer::FindLinkProfile(options_.transfer_link);
     P2P_CHECK(link.ok());  // Validate() vetted the name above
     transfer_ = std::make_unique<transfer::TransferScheduler>(

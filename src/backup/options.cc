@@ -71,7 +71,8 @@ util::Status SystemOptions::Validate() const {
   }
   // The link name must resolve even when transfers are disabled, so a sweep
   // with a link axis fails at expansion rather than mid-run.
-  if (util::Result<net::LinkProfile> link = transfer::FindLinkProfile(transfer_link);
+  if (util::Result<transfer::LinkProfile> link =
+          transfer::FindLinkProfile(transfer_link);
       !link.ok()) {
     return link.status();
   }

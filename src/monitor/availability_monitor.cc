@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "trace/trace.h"
 #include "util/logging.h"
 
 namespace p2p {
@@ -25,7 +24,6 @@ void AvailabilityMonitor::RecordConnect(PeerId peer, sim::Round now) {
   if (h.first_seen < 0) h.first_seen = now;
   if (h.online_since < 0) h.online_since = now;
   h.last_seen = now;
-  h.obs_round = -1;
 }
 
 void AvailabilityMonitor::RecordDisconnect(PeerId peer, sim::Round now) {
@@ -39,7 +37,6 @@ void AvailabilityMonitor::RecordDisconnect(PeerId peer, sim::Round now) {
     }
     h.last_seen = now;  // online through the end of the previous round
     h.online_since = -1;
-    h.obs_round = -1;
     Prune(&h, now);
   }
 }
@@ -47,7 +44,6 @@ void AvailabilityMonitor::RecordDisconnect(PeerId peer, sim::Round now) {
 void AvailabilityMonitor::RecordDeparture(PeerId peer, sim::Round now) {
   RecordDisconnect(peer, now);
   peers_[peer].departed = true;
-  peers_[peer].obs_round = -1;
 }
 
 bool AvailabilityMonitor::IsOnline(PeerId peer) const {
@@ -103,32 +99,13 @@ bool AvailabilityMonitor::PresumedDeparted(PeerId peer, sim::Round timeout,
 core::PeerObservation AvailabilityMonitor::Observe(PeerId peer,
                                                    sim::Round window,
                                                    sim::Round now) const {
-  PeerHistory& h = peers_[peer];
   ++query_stats_.observe_calls;
-  if (h.obs_round == now && h.obs_window == window) {
-    ++query_stats_.memo_hits;
-    return h.obs;
-  }
   core::PeerObservation obs;
   obs.age = Age(peer, now);
   obs.availability = AvailabilityOver(peer, window, now);
   const sim::Round seen = LastSeen(peer, now);
   obs.rounds_since_seen = seen < 0 ? obs.age : now - seen;
-  h.obs_round = now;
-  h.obs_window = window;
-  h.obs = obs;
   return obs;
-}
-
-void AvailabilityMonitor::ObserveBatch(
-    const std::vector<PeerId>& peers, sim::Round window, sim::Round now,
-    std::vector<core::PeerObservation>* out) const {
-  TRACE_SCOPE("monitor/observe_batch");
-  out->clear();
-  out->reserve(peers.size());
-  for (PeerId peer : peers) {
-    out->push_back(Observe(peer, window, now));
-  }
 }
 
 void AvailabilityMonitor::Prune(PeerHistory* h, sim::Round now) const {

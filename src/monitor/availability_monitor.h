@@ -13,9 +13,9 @@
 //
 // The estimator-driven placement path asks for the full observation triple
 // (age, availability, rounds since seen) for every pooled candidate of
-// every maintenance episode; Observe/ObserveBatch answer it from a
-// per-round memo, so a peer sampled by many repairing owners in one round
-// is evaluated once.
+// every maintenance episode. Observe computes it afresh on every call; the
+// network's per-round score memo already makes sure a peer sampled by many
+// repairing owners in one round is observed once.
 
 #ifndef P2P_MONITOR_AVAILABILITY_MONITOR_H_
 #define P2P_MONITOR_AVAILABILITY_MONITOR_H_
@@ -74,15 +74,8 @@ class AvailabilityMonitor {
   /// @{
   /// The full observation triple for one peer: age, availability over
   /// `window`, rounds since last seen (the peer's whole age if never seen).
-  /// Memoized per (peer, round, window): repeat queries in one round are
-  /// answered from the cache. Any event on the peer invalidates its entry.
   core::PeerObservation Observe(PeerId peer, sim::Round window,
                                 sim::Round now) const;
-  /// Batched snapshot: fills `out` (cleared first) with one observation per
-  /// id, in id order - Observe over a whole candidate list in one call.
-  void ObserveBatch(const std::vector<PeerId>& peers, sim::Round window,
-                    sim::Round now,
-                    std::vector<core::PeerObservation>* out) const;
   /// @}
 
   /// History window bound.
@@ -94,7 +87,6 @@ class AvailabilityMonitor {
   /// into a trace session once per run (scenario.cc does).
   struct QueryStats {
     int64_t observe_calls = 0;
-    int64_t memo_hits = 0;
   };
   const QueryStats& query_stats() const { return query_stats_; }
 
@@ -117,16 +109,12 @@ class AvailabilityMonitor {
     bool departed = false;
     // Closed sessions intersecting the history window.
     std::deque<Session> sessions;
-    // Per-round observation memo (Observe); -1 = empty.
-    sim::Round obs_round = -1;
-    sim::Round obs_window = -1;
-    core::PeerObservation obs;
   };
 
   void Prune(PeerHistory* h, sim::Round now) const;
 
   sim::Round history_window_;
-  mutable std::vector<PeerHistory> peers_;
+  std::vector<PeerHistory> peers_;
   mutable QueryStats query_stats_;
 };
 

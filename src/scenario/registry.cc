@@ -1,5 +1,6 @@
 #include "scenario/registry.h"
 
+#include <cstdint>
 #include <utility>
 
 #include "scenario/text.h"
@@ -128,6 +129,17 @@ void ApplyWorld(const Scenario& world, Scenario* dst) {
   dst->workload = world.workload;
 }
 
+util::Status ApplyScaleFlags(int64_t peers, int64_t rounds, int64_t seed,
+                             Scenario* scenario) {
+  P2P_RETURN_IF_ERROR(util::CheckFlagRange("peers", peers, 0, UINT32_MAX));
+  P2P_RETURN_IF_ERROR(util::CheckFlagRange("rounds", rounds, 0, INT64_MAX));
+  P2P_RETURN_IF_ERROR(util::CheckFlagRange("seed", seed, -1, INT64_MAX));
+  if (peers > 0) scenario->peers = static_cast<uint32_t>(peers);
+  if (rounds > 0) scenario->rounds = rounds;
+  if (seed >= 0) scenario->seed = static_cast<uint64_t>(seed);
+  return util::Status::OK();
+}
+
 void ScenarioFlags::Register(util::FlagSet* flags) {
   flags->String("scenario", &scenario_,
                 "simulated world: a registry name or a scenario file");
@@ -158,10 +170,7 @@ util::Status ScenarioFlags::Apply(Scenario* scenario) const {
     scenario->peers = 25'000;
     scenario->rounds = 50'000;
   }
-  if (peers_ > 0) scenario->peers = static_cast<uint32_t>(peers_);
-  if (rounds_ > 0) scenario->rounds = rounds_;
-  if (seed_ >= 0) scenario->seed = static_cast<uint64_t>(seed_);
-  return util::Status::OK();
+  return ApplyScaleFlags(peers_, rounds_, seed_, scenario);
 }
 
 }  // namespace scenario

@@ -44,6 +44,13 @@ util::Result<Scenario> LoadScenario(const std::string& name_or_path);
 /// bench keeps its calibrated scale while swapping the simulated world.
 void ApplyWorld(const Scenario& world, Scenario* dst);
 
+/// Applies explicit --peers / --rounds / --seed values to `scenario`. 0
+/// (peers, rounds) and -1 (seed) keep the scenario's value. A value the
+/// scenario cannot hold - negative, or peers above UINT32_MAX - is an
+/// InvalidArgument naming the flag, and leaves `scenario` unchanged.
+util::Status ApplyScaleFlags(int64_t peers, int64_t rounds, int64_t seed,
+                             Scenario* scenario);
+
 /// \brief The standard scenario/scale flags shared by benches and examples.
 ///
 /// Registers --scenario (name or file), --peers, --rounds, --seed, and
@@ -52,8 +59,9 @@ void ApplyWorld(const Scenario& world, Scenario* dst);
 /// (scale, options, population, workload - every key of a scenario file is
 /// honoured, matching `scenario_tool run`; the base observer list survives
 /// when the scenario defines none), then --paper, then the explicit scale
-/// flags. Binary-specific knobs (e.g. a bench's --threshold) are applied by
-/// the caller after Apply() and override everything.
+/// flags (ApplyScaleFlags, whose range errors Apply() returns).
+/// Binary-specific knobs (e.g. a bench's --threshold) are applied by the
+/// caller after Apply() and override everything.
 class ScenarioFlags {
  public:
   void Register(util::FlagSet* flags);

@@ -1,9 +1,9 @@
-#include "net/bandwidth.h"
+#include "transfer/bandwidth.h"
 
 #include <cassert>
 
 namespace p2p {
-namespace net {
+namespace transfer {
 
 LinkProfile LinkProfile::Dsl2009() {
   return LinkProfile{"dsl-2009", 256.0 * 1024.0, 32.0 * 1024.0};
@@ -49,5 +49,5 @@ double RepairCostModel::RestoreSeconds(int archives) const {
   return DownloadSeconds() * archives;
 }
 
-}  // namespace net
+}  // namespace transfer
 }  // namespace p2p

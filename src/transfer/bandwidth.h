@@ -9,14 +9,14 @@
 // feasibility ceilings the paper derives (<= 20 repair operations per day;
 // about one repair per month per archive for a 4 GB / 32-archive user).
 
-#ifndef P2P_NET_BANDWIDTH_H_
-#define P2P_NET_BANDWIDTH_H_
+#ifndef P2P_TRANSFER_BANDWIDTH_H_
+#define P2P_TRANSFER_BANDWIDTH_H_
 
 #include <cstdint>
 #include <string>
 
 namespace p2p {
-namespace net {
+namespace transfer {
 
 /// \brief An asymmetric access link.
 struct LinkProfile {
@@ -75,7 +75,7 @@ class RepairCostModel {
   uint64_t block_bytes_;
 };
 
-}  // namespace net
+}  // namespace transfer
 }  // namespace p2p
 
-#endif  // P2P_NET_BANDWIDTH_H_
+#endif  // P2P_TRANSFER_BANDWIDTH_H_

@@ -5,11 +5,11 @@ namespace transfer {
 
 namespace {
 
-const net::LinkProfile* Registry(size_t* count) {
-  static const net::LinkProfile kProfiles[] = {
-      net::LinkProfile::Dsl2009(),
-      net::LinkProfile::ModernDsl(),
-      net::LinkProfile::Ftth(),
+const LinkProfile* Registry(size_t* count) {
+  static const LinkProfile kProfiles[] = {
+      LinkProfile::Dsl2009(),
+      LinkProfile::ModernDsl(),
+      LinkProfile::Ftth(),
   };
   *count = sizeof(kProfiles) / sizeof(kProfiles[0]);
   return kProfiles;
@@ -19,16 +19,16 @@ const net::LinkProfile* Registry(size_t* count) {
 
 std::vector<std::string> LinkProfileNames() {
   size_t count = 0;
-  const net::LinkProfile* profiles = Registry(&count);
+  const LinkProfile* profiles = Registry(&count);
   std::vector<std::string> names;
   names.reserve(count);
   for (size_t i = 0; i < count; ++i) names.push_back(profiles[i].name);
   return names;
 }
 
-util::Result<net::LinkProfile> FindLinkProfile(const std::string& name) {
+util::Result<LinkProfile> FindLinkProfile(const std::string& name) {
   size_t count = 0;
-  const net::LinkProfile* profiles = Registry(&count);
+  const LinkProfile* profiles = Registry(&count);
   for (size_t i = 0; i < count; ++i) {
     if (profiles[i].name == name) return profiles[i];
   }

@@ -1,6 +1,6 @@
 // The link-profile registry: the vocabulary of `transfer.link=` in scenario
 // text, `--links=` on sweep_demo, and `--transfer=` on scenario_tool. Each
-// name resolves to one of the paper-derived `net::LinkProfile` access links
+// name resolves to one of the paper-derived `LinkProfile` access links
 // (section 2.2.4): the 2009 reference DSL line, a 4x "modern" DSL line, and
 // a symmetric FTTH line.
 
@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "net/bandwidth.h"
+#include "transfer/bandwidth.h"
 #include "util/result.h"
 
 namespace p2p {
@@ -21,7 +21,7 @@ namespace transfer {
 std::vector<std::string> LinkProfileNames();
 
 /// Resolves a name to its profile; errors list the registry on a miss.
-util::Result<net::LinkProfile> FindLinkProfile(const std::string& name);
+util::Result<LinkProfile> FindLinkProfile(const std::string& name);
 
 }  // namespace transfer
 }  // namespace p2p

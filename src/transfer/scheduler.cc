@@ -12,7 +12,7 @@ namespace {
 constexpr double kSecondsPerRound = 3600.0;  // 1 round = 1 hour.
 }  // namespace
 
-TransferScheduler::TransferScheduler(const net::LinkProfile& link,
+TransferScheduler::TransferScheduler(const LinkProfile& link,
                                      uint32_t id_capacity,
                                      uint64_t archive_bytes, int k, int m)
     : model_(link, archive_bytes, k, m),

@@ -24,8 +24,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/bandwidth.h"
 #include "sim/clock.h"
+#include "transfer/bandwidth.h"
 
 namespace p2p {
 namespace transfer {
@@ -89,8 +89,8 @@ struct TickSample {
 class TransferScheduler {
  public:
   /// `id_capacity` bounds peer ids (dense lanes); `archive_bytes`/`k`/`m`
-  /// define the block size via `net::RepairCostModel`.
-  TransferScheduler(const net::LinkProfile& link, uint32_t id_capacity,
+  /// define the block size via `RepairCostModel`.
+  TransferScheduler(const LinkProfile& link, uint32_t id_capacity,
                     uint64_t archive_bytes, int k, int m);
 
   /// Queues a job for `owner` (which must not already have one). Maintenance
@@ -124,12 +124,12 @@ class TransferScheduler {
   double uplink_bytes_per_round() const { return up_cap_; }
   double downlink_bytes_per_round() const { return down_cap_; }
   uint64_t block_bytes() const { return model_.block_bytes(); }
-  const net::RepairCostModel& model() const { return model_; }
+  const RepairCostModel& model() const { return model_; }
 
  private:
   void AddLoad(PeerId id, double amount);
 
-  net::RepairCostModel model_;
+  RepairCostModel model_;
   double up_cap_ = 0.0;    ///< Uplink bytes per round.
   double down_cap_ = 0.0;  ///< Downlink bytes per round.
 

@@ -113,6 +113,17 @@ void FlagSet::String(const std::string& name, std::string* var,
   Register(name, std::move(e));
 }
 
+Status CheckFlagRange(const std::string& flag, int64_t value, int64_t lo,
+                      int64_t hi) {
+  if (value >= lo && value <= hi) return Status::OK();
+  const std::string range = hi == INT64_MAX
+                                ? ">= " + std::to_string(lo)
+                                : "in [" + std::to_string(lo) + ", " +
+                                      std::to_string(hi) + "]";
+  return Status::InvalidArgument("--" + flag + " must be " + range + ", got " +
+                                 std::to_string(value));
+}
+
 Status FlagSet::Parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];

@@ -57,6 +57,12 @@ class FlagSet {
   std::vector<std::string> positional_;
 };
 
+/// Returns OK when `lo <= value <= hi`, else an InvalidArgument naming
+/// `--flag` and the accepted range. For flags parsed into a wider type than
+/// their destination, so an out-of-range value fails instead of wrapping.
+Status CheckFlagRange(const std::string& flag, int64_t value, int64_t lo,
+                      int64_t hi);
+
 }  // namespace util
 }  // namespace p2p
 

@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include "net/bandwidth.h"
+#include "transfer/bandwidth.h"
 
 namespace p2p {
-namespace net {
+namespace transfer {
 namespace {
 
 constexpr uint64_t kArchiveBytes = 128ull << 20;  // 128 MB
@@ -83,5 +83,5 @@ TEST(BandwidthTest, FtthUncorksTheUplink) {
 }
 
 }  // namespace
-}  // namespace net
+}  // namespace transfer
 }  // namespace p2p

@@ -3,6 +3,9 @@
 // (--name value vs --name=value), boolean forms and negation, unknown-flag
 // reporting, positional collection, and typed range checks.
 
+#include <climits>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "util/flags.h"
@@ -141,6 +144,22 @@ TEST(FlagSetTest, TypedRangeChecks) {
   flags3.Double("d", &d, "a double");
   Argv argv3({"--d=not-a-number"});
   EXPECT_TRUE(flags3.Parse(argv3.argc(), argv3.argv()).IsInvalidArgument());
+}
+
+TEST(FlagSetTest, CheckFlagRangeNamesTheFlag) {
+  // The check sweep_demo runs on --replicates before narrowing it to int:
+  // 4294967297 = 2^32 + 1 must not wrap to 1.
+  for (int64_t bad : {int64_t{0}, int64_t{-3}, int64_t{4294967297},
+                      int64_t{INT_MAX} + 1}) {
+    const Status st = CheckFlagRange("replicates", bad, 1, INT_MAX);
+    EXPECT_TRUE(st.IsInvalidArgument()) << bad;
+    EXPECT_NE(st.message().find("--replicates"), std::string::npos);
+  }
+  EXPECT_TRUE(CheckFlagRange("replicates", 1, 1, INT_MAX).ok());
+  EXPECT_TRUE(CheckFlagRange("replicates", INT_MAX, 1, INT_MAX).ok());
+  // An open-ended range reads as a lower bound.
+  EXPECT_EQ(CheckFlagRange("rounds", -7, 0, INT64_MAX).message(),
+            "--rounds must be >= 0, got -7");
 }
 
 TEST(FlagSetTest, UsageListsFlagsAndDefaults) {

@@ -147,40 +147,20 @@ TEST(MonitorTest, ObserveReportsTheFullTriple) {
   EXPECT_NEAR(online.availability, 0.5, 1e-12);
 }
 
-TEST(MonitorTest, ObserveMemoInvalidatedByEvents) {
+TEST(MonitorTest, ObserveFreshAfterEvents) {
   AvailabilityMonitor mon(2, /*history_window=*/100);
   mon.RecordJoin(0, 0);
   mon.RecordConnect(0, 0);
-  // Two queries in one round hit the memo; an event between them must not
-  // leak the stale entry.
+  // Repeat queries in one round agree, and an event between them shows up
+  // in the next answer.
   EXPECT_NEAR(mon.Observe(0, 50, 50).availability, 1.0, 1e-12);
   EXPECT_NEAR(mon.Observe(0, 50, 50).availability, 1.0, 1e-12);
   mon.RecordDisconnect(0, 50);
   EXPECT_EQ(mon.Observe(0, 50, 50).rounds_since_seen, 0);
-  // A different window in the same round is computed, not served stale.
+  // A different window in the same round gives its own answer.
   mon.RecordConnect(0, 75);
   EXPECT_NEAR(mon.Observe(0, 100, 100).availability, 0.75, 1e-12);
   EXPECT_NEAR(mon.Observe(0, 25, 100).availability, 1.0, 1e-12);
-}
-
-TEST(MonitorTest, ObserveBatchMatchesSingleQueries) {
-  AvailabilityMonitor mon(4, /*history_window=*/100);
-  for (PeerId p = 0; p < 3; ++p) {
-    mon.RecordJoin(p, static_cast<sim::Round>(10 * p));
-    mon.RecordConnect(p, static_cast<sim::Round>(10 * p));
-  }
-  mon.RecordDisconnect(1, 50);
-
-  std::vector<PeerId> ids = {2, 0, 1};
-  std::vector<p2p::core::PeerObservation> batch;
-  mon.ObserveBatch(ids, 100, 100, &batch);
-  ASSERT_EQ(batch.size(), 3u);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const auto single = mon.Observe(ids[i], 100, 100);
-    EXPECT_EQ(batch[i].age, single.age) << i;
-    EXPECT_DOUBLE_EQ(batch[i].availability, single.availability) << i;
-    EXPECT_EQ(batch[i].rounds_since_seen, single.rounds_since_seen) << i;
-  }
 }
 
 TEST(MonitorTest, PrefixSummedWindowsMatchBruteForceOracle) {

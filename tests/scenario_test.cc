@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -568,6 +569,61 @@ TEST(RegistryTest, ScenarioFlagsApplyOrder) {
   const char* argv2[] = {"prog", "--scenario=missing-world"};
   ASSERT_TRUE(flags2.Parse(2, const_cast<char**>(argv2)).ok());
   EXPECT_FALSE(scenario_flags2.Apply(&bad).ok());
+}
+
+TEST(RegistryTest, ScaleFlagsRejectValuesTheScenarioCannotHold) {
+  // Each bad value is an error naming its flag, never a silent default or a
+  // narrowing wrap (4294967312 = 2^32 + 16 must not become 16 peers).
+  struct Case {
+    const char* arg;
+    const char* flag;
+  };
+  const Case kBad[] = {
+      {"--peers=-5", "--peers"},          {"--peers=4294967296", "--peers"},
+      {"--peers=4294967312", "--peers"},  {"--rounds=-7", "--rounds"},
+      {"--rounds=-1", "--rounds"},        {"--seed=-2", "--seed"},
+  };
+  for (const Case& c : kBad) {
+    SCOPED_TRACE(c.arg);
+    Scenario s;
+    util::FlagSet flags;
+    ScenarioFlags scenario_flags;
+    scenario_flags.Register(&flags);
+    const char* argv[] = {"prog", c.arg};
+    ASSERT_TRUE(flags.Parse(2, const_cast<char**>(argv)).ok());
+    const util::Status st = scenario_flags.Apply(&s);
+    EXPECT_TRUE(st.IsInvalidArgument());
+    EXPECT_NE(st.message().find(c.flag), std::string::npos) << st.ToString();
+  }
+
+  // The documented "keep default" values and the extremes of the valid
+  // ranges still apply.
+  struct Good {
+    int64_t peers, rounds, seed;
+    uint32_t want_peers;
+    sim::Round want_rounds;
+    uint64_t want_seed;
+  };
+  const Scenario base;
+  const Good kGood[] = {
+      {0, 0, -1, base.peers, base.rounds, base.seed},
+      {UINT32_MAX, 1, 0, UINT32_MAX, 1, 0},
+      {16, INT64_MAX, INT64_MAX, 16, INT64_MAX,
+       static_cast<uint64_t>(INT64_MAX)},
+  };
+  for (const Good& g : kGood) {
+    Scenario s;
+    ASSERT_TRUE(ApplyScaleFlags(g.peers, g.rounds, g.seed, &s).ok());
+    EXPECT_EQ(s.peers, g.want_peers);
+    EXPECT_EQ(s.rounds, g.want_rounds);
+    EXPECT_EQ(s.seed, g.want_seed);
+  }
+
+  // A rejected override leaves the scenario untouched.
+  Scenario s;
+  s.peers = 77;
+  EXPECT_FALSE(ApplyScaleFlags(100, -7, -1, &s).ok());
+  EXPECT_EQ(s.peers, 77u);
 }
 
 // ------------------------------------------- workload events end to end

@@ -95,19 +95,6 @@ TEST(EngineTest, HooksRunInRegistrationOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(EngineTest, ScheduledCallbacksFireBeforeHooks) {
-  EngineOptions opts;
-  opts.end_round = 5;
-  Engine engine(opts);
-  std::vector<std::string> trace;
-  engine.ScheduleAt(3, [&] { trace.push_back("cb@3"); });
-  engine.AddRoundHook([&](Round r) {
-    if (r == 3) trace.push_back("hook@3");
-  });
-  engine.Run();
-  EXPECT_EQ(trace, (std::vector<std::string>{"cb@3", "hook@3"}));
-}
-
 TEST(EngineTest, RequestStopHaltsRun) {
   EngineOptions opts;
   opts.end_round = 1000;

@@ -39,7 +39,7 @@ class FakeDirectory : public PeerDirectory {
   std::vector<std::vector<PeerId>> sources_;
 };
 
-TransferScheduler MakeScheduler(const net::LinkProfile& link, uint32_t peers) {
+TransferScheduler MakeScheduler(const LinkProfile& link, uint32_t peers) {
   return TransferScheduler(link, peers, kArchiveBytes, kK, kM);
 }
 
@@ -52,14 +52,14 @@ TEST(LinkRegistryTest, NamesInRegistrationOrder) {
 }
 
 TEST(LinkRegistryTest, FindResolvesPaperProfile) {
-  const util::Result<net::LinkProfile> link = FindLinkProfile("dsl-2009");
+  const util::Result<LinkProfile> link = FindLinkProfile("dsl-2009");
   ASSERT_TRUE(link.ok());
   EXPECT_DOUBLE_EQ(link->download_bytes_per_s, 256.0 * 1024.0);
   EXPECT_DOUBLE_EQ(link->upload_bytes_per_s, 32.0 * 1024.0);
 }
 
 TEST(LinkRegistryTest, UnknownNameListsRegistry) {
-  const util::Result<net::LinkProfile> link = FindLinkProfile("isdn-1999");
+  const util::Result<LinkProfile> link = FindLinkProfile("isdn-1999");
   ASSERT_FALSE(link.ok());
   EXPECT_NE(link.status().message().find("isdn-1999"), std::string::npos);
   EXPECT_NE(link.status().message().find("dsl-2009"), std::string::npos);
@@ -68,7 +68,7 @@ TEST(LinkRegistryTest, UnknownNameListsRegistry) {
 
 TEST(TransferSchedulerTest, InitialJobUploadsWithoutDownloadPhase) {
   TransferScheduler sched =
-      MakeScheduler(net::LinkProfile::Dsl2009(), /*peers=*/4);
+      MakeScheduler(LinkProfile::Dsl2009(), /*peers=*/4);
   FakeDirectory directory(4);
   const double up_cap = sched.uplink_bytes_per_round();
 
@@ -97,7 +97,7 @@ TEST(TransferSchedulerTest, InitialJobUploadsWithoutDownloadPhase) {
 
 TEST(TransferSchedulerTest, MaintenanceJobDownloadsThenUploads) {
   constexpr uint32_t kPeers = 130;
-  TransferScheduler sched = MakeScheduler(net::LinkProfile::Dsl2009(), kPeers);
+  TransferScheduler sched = MakeScheduler(LinkProfile::Dsl2009(), kPeers);
   FakeDirectory directory(kPeers);
   for (PeerId src = 1; src <= 128; ++src) directory.sources_[0].push_back(src);
 
@@ -123,7 +123,7 @@ TEST(TransferSchedulerTest, MaintenanceJobDownloadsThenUploads) {
 
 TEST(TransferSchedulerTest, BackToBackRepairsStayNearAnalyticCeiling) {
   constexpr uint32_t kPeers = 130;
-  TransferScheduler sched = MakeScheduler(net::LinkProfile::Dsl2009(), kPeers);
+  TransferScheduler sched = MakeScheduler(LinkProfile::Dsl2009(), kPeers);
   FakeDirectory directory(kPeers);
   for (PeerId src = 1; src <= 128; ++src) directory.sources_[0].push_back(src);
 
@@ -148,7 +148,7 @@ TEST(TransferSchedulerTest, BackToBackRepairsStayNearAnalyticCeiling) {
 
 TEST(TransferSchedulerTest, FairShareSplitsASharedSourceUplink) {
   TransferScheduler sched =
-      MakeScheduler(net::LinkProfile::Dsl2009(), /*peers=*/4);
+      MakeScheduler(LinkProfile::Dsl2009(), /*peers=*/4);
   FakeDirectory directory(4);
   directory.sources_[1] = {0};
   directory.sources_[2] = {0};
@@ -168,7 +168,7 @@ TEST(TransferSchedulerTest, FairShareSplitsASharedSourceUplink) {
 
 TEST(TransferSchedulerTest, OfflineOwnerPausesWithoutConsumingCapacity) {
   TransferScheduler sched =
-      MakeScheduler(net::LinkProfile::Dsl2009(), /*peers=*/4);
+      MakeScheduler(LinkProfile::Dsl2009(), /*peers=*/4);
   FakeDirectory directory(4);
   directory.online_[0] = 0;
 
@@ -188,7 +188,7 @@ TEST(TransferSchedulerTest, OfflineOwnerPausesWithoutConsumingCapacity) {
 
 TEST(TransferSchedulerTest, DownloadStallsWithNoOnlineSource) {
   TransferScheduler sched =
-      MakeScheduler(net::LinkProfile::Dsl2009(), /*peers=*/4);
+      MakeScheduler(LinkProfile::Dsl2009(), /*peers=*/4);
   FakeDirectory directory(4);
   directory.sources_[0] = {1, 2};
   directory.online_[1] = 0;
@@ -204,7 +204,7 @@ TEST(TransferSchedulerTest, DownloadStallsWithNoOnlineSource) {
 
 TEST(TransferSchedulerTest, CancelDropsTheJob) {
   TransferScheduler sched =
-      MakeScheduler(net::LinkProfile::Dsl2009(), /*peers=*/4);
+      MakeScheduler(LinkProfile::Dsl2009(), /*peers=*/4);
   FakeDirectory directory(4);
 
   sched.Enqueue(3, 1, /*initial=*/true, kK, 0);
@@ -228,7 +228,7 @@ TEST(TransferSchedulerTest, PropertyCapacityBoundsAndByteConservation) {
   constexpr uint32_t kPeers = 48;
   for (const std::string& name : LinkProfileNames()) {
     SCOPED_TRACE(name);
-    const util::Result<net::LinkProfile> link = FindLinkProfile(name);
+    const util::Result<LinkProfile> link = FindLinkProfile(name);
     ASSERT_TRUE(link.ok());
     TransferScheduler sched = MakeScheduler(*link, kPeers);
     FakeDirectory directory(kPeers);

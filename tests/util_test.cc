@@ -1,5 +1,5 @@
-// Unit tests for the utility kernel: Status/Result, RNG, statistics,
-// serialization, flags and tables.
+// Unit tests for the utility kernel: Status/Result, RNG, statistics, flags
+// and tables.
 
 #include <cmath>
 #include <set>
@@ -12,7 +12,6 @@
 #include "util/flags.h"
 #include "util/result.h"
 #include "util/rng.h"
-#include "util/serialize.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/table.h"
@@ -122,49 +121,18 @@ TEST(RngTest, UniformIntRespectsBounds) {
   EXPECT_EQ(seen.size(), 11u);  // every value reached
 }
 
-TEST(RngTest, UniformIntBatchMatchesSequentialDraws) {
-  // The contract hot paths build on: UniformIntBatch(lo, hi, out, n) emits
-  // byte-for-byte the values of n sequential UniformInt(lo, hi) calls AND
-  // leaves the generator in the identical state. Exercised across spans
-  // small enough to hit the Lemire rejection path with real probability.
-  const int64_t kRanges[][2] = {{0, 0},   {0, 1},     {-3, 7},
-                                {0, 999}, {0, 24999}, {-50, 50}};
-  for (const auto& r : kRanges) {
-    Rng seq(777), bat(777);
-    int64_t expect[257];
-    int64_t got[257];
-    // Uneven batch sizes so batch boundaries land at arbitrary stream
-    // offsets.
-    const size_t sizes[] = {1, 7, 64, 185};
-    size_t total = 0;
-    for (size_t n : sizes) {
-      for (size_t i = 0; i < n; ++i) expect[i] = seq.UniformInt(r[0], r[1]);
-      bat.UniformIntBatch(r[0], r[1], got, n);
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(got[i], expect[i])
-            << "range [" << r[0] << "," << r[1] << "] draw " << total + i;
-      }
-      total += n;
-    }
-    // States converged: the two generators stay in lockstep forever after.
-    for (int i = 0; i < 32; ++i) ASSERT_EQ(seq.NextU64(), bat.NextU64());
-  }
-}
-
 TEST(RngTest, StateRoundTripReplaysExactly) {
-  // The save / speculative-batch / restore-and-replay resync pattern
-  // (BackupNetwork::BuildPool) in miniature.
+  // The save / speculative-draws / restore-and-replay resync pattern in
+  // miniature.
   Rng rng(42);
   rng.NextU64();  // move off the seed state
   const Rng::State saved = rng.state();
   int64_t batch[16];
-  rng.UniformIntBatch(0, 99, batch, 16);
+  for (int64_t& v : batch) v = rng.UniformInt(0, 99);
   // Only 5 of the 16 speculative draws were consumable: rewind, replay the
   // prefix, and the next values must continue the sequential stream.
   rng.set_state(saved);
-  int64_t replay[5];
-  rng.UniformIntBatch(0, 99, replay, 5);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(replay[i], batch[i]);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(rng.UniformInt(0, 99), batch[i]);
 
   Rng ref(42);
   ref.NextU64();
@@ -378,50 +346,6 @@ TEST(QuantileSketchTest, ExactOnSmallSets) {
   EXPECT_NEAR(q.Quantile(0.5), 51.0, 1.0);
   q.Add(1000.0);  // sort cache must invalidate
   EXPECT_DOUBLE_EQ(q.Quantile(1.0), 1000.0);
-}
-
-TEST(SerializeTest, PrimitiveRoundTrip) {
-  Writer w;
-  w.PutU8(0xab);
-  w.PutU16(0xbeef);
-  w.PutU32(0xdeadbeef);
-  w.PutU64(0x0123456789abcdefull);
-  w.PutVarint(300);
-  w.PutString("hello");
-  w.PutBytes({1, 2, 3});
-  Reader r(w.data());
-  EXPECT_EQ(r.GetU8().value(), 0xab);
-  EXPECT_EQ(r.GetU16().value(), 0xbeef);
-  EXPECT_EQ(r.GetU32().value(), 0xdeadbeefu);
-  EXPECT_EQ(r.GetU64().value(), 0x0123456789abcdefull);
-  EXPECT_EQ(r.GetVarint().value(), 300u);
-  EXPECT_EQ(r.GetString().value(), "hello");
-  EXPECT_EQ(r.GetBytes().value(), (std::vector<uint8_t>{1, 2, 3}));
-  EXPECT_TRUE(r.AtEnd());
-}
-
-TEST(SerializeTest, VarintBoundaries) {
-  for (uint64_t v : {uint64_t{0}, uint64_t{127}, uint64_t{128}, uint64_t{16383},
-                     uint64_t{16384}, UINT64_MAX}) {
-    Writer w;
-    w.PutVarint(v);
-    Reader r(w.data());
-    EXPECT_EQ(r.GetVarint().value(), v);
-  }
-}
-
-TEST(SerializeTest, TruncationDetected) {
-  Writer w;
-  w.PutU32(7);
-  Reader r(w.data().data(), 2);
-  EXPECT_TRUE(r.GetU32().status().IsCorruption());
-}
-
-TEST(SerializeTest, TruncatedBlobDetected) {
-  Writer w;
-  w.PutVarint(100);  // claims 100 bytes follow; none do
-  Reader r(w.data());
-  EXPECT_TRUE(r.GetBytes().status().IsCorruption());
 }
 
 TEST(FlagsTest, ParsesTypedFlags) {
