@@ -2,26 +2,26 @@
 // the canonical text form, validate a file, or run one end to end.
 //
 //   ./scenario_tool list                       # registry names, one per line
-//   ./scenario_tool policies                   # registered maintenance policies
-//   ./scenario_tool selections                 # registered selection strategies
-//   ./scenario_tool estimators                 # registered lifetime estimators
-//   ./scenario_tool metrics                    # registered result probes
+//   ./scenario_tool policies                   # the maintenance policies
+//   ./scenario_tool selections                 # the selection strategies
+//   ./scenario_tool estimators                 # the lifetime estimators
+//   ./scenario_tool metrics                    # the result probes
 //   ./scenario_tool show flash-crowd           # canonical key=value text
 //   ./scenario_tool show flash-crowd > my.scenario   # ... then edit and:
 //   ./scenario_tool run my.scenario --peers=500 --rounds=200 --check
 //   ./scenario_tool run paper --policy='proactive{batch_blocks=4}' --check
 //   ./scenario_tool run paper --estimator='availability-weighted' --check
 //
-// `policies` / `selections` / `estimators` list every registered strategy
+// `policies` / `selections` / `estimators` list every strategy of a family
 // with its parameters, defaults, and valid ranges (--names for just the
 // names, one per line - what scripts/check.sh iterates); `metrics` lists
-// every registered probe of the results pipeline (name, unit, shape,
+// every probe of the results pipeline (name, unit, shape,
 // aggregation - the vocabulary of `metrics.select` in scenario files and
 // `sweep_demo --metrics`). `run` validates first,
 // simulates, and prints a one-screen summary; with --check it also verifies
 // the full partnership/quota invariant set during and after the run (the CI
 // smoke loop in scripts/check.sh runs every registered scenario AND every
-// registered strategy this way and fails on any Validate() or invariant
+// strategy this way and fails on any Validate() or invariant
 // error).
 
 #include <cstdio>
@@ -56,36 +56,59 @@ int Usage(const char* prog) {
   return 1;
 }
 
-// One table row per (strategy, parameter); parameterless strategies get a
-// single row. Shared by `policies` and `selections`.
-struct ParamRowSink {
-  p2p::util::Table table{{"strategy", "parameter", "type", "default", "range",
-                          "description"}};
-
-  void Add(const std::string& strategy, const std::string& summary,
-           const std::vector<p2p::core::ParamInfo>& params) {
-    using p2p::core::ParamValue;
+// Lists a strategy family: its names one per line, or one table row per
+// (strategy, parameter) - parameterless strategies get a single row.
+template <typename Product>
+int ListStrategies(bool names_only) {
+  using p2p::core::ParamValue;
+  p2p::util::Table table(
+      {"strategy", "parameter", "type", "default", "range", "description"});
+  for (const p2p::core::StrategyDescriptor<Product>& d :
+       p2p::core::Family<Product>().strategies) {
+    if (names_only) {
+      std::printf("%s\n", d.name.c_str());
+      continue;
+    }
     table.BeginRow();
-    table.Add(strategy);
+    table.Add(d.name);
     table.Add("-");
     table.Add("-");
     table.Add("-");
     table.Add("-");
-    table.Add(summary);
-    for (const p2p::core::ParamInfo& info : params) {
+    table.Add(d.summary);
+    for (const p2p::core::ParamInfo& info : d.params) {
       table.BeginRow();
       table.Add("");
       table.Add(info.name);
       table.Add(p2p::core::ParamTypeName(info.type));
-      table.Add(info.contextual_default.empty()
+      table.Add(info.contextual_default == p2p::core::ContextDefault::kNone
                     ? info.def.Render()
-                    : "(" + info.contextual_default + ")");
+                    : std::string("(") +
+                          p2p::core::ContextDefaultName(
+                              info.contextual_default) +
+                          ")");
       table.Add("[" + ParamValue::Double(info.min_value).Render() + ", " +
                 ParamValue::Double(info.max_value).Render() + "]");
       table.Add(info.help);
     }
   }
-};
+  if (!names_only) table.RenderPretty(std::cout);
+  return 0;
+}
+
+// Applies a --policy / --selection / --estimator override; false (after
+// printing the error) when the spec does not parse.
+template <typename Spec>
+bool ApplyOverride(const char* flag, const std::string& text, Spec* out) {
+  if (text.empty()) return true;
+  p2p::util::Result<Spec> parsed = Spec::Parse(text);
+  if (!parsed.ok()) {
+    std::cerr << "--" << flag << ": " << parsed.status().ToString() << "\n";
+    return false;
+  }
+  *out = *parsed;
+  return true;
+}
 
 }  // namespace
 
@@ -143,46 +166,16 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "policies") {
+  if (command == "policies" || command == "selections" ||
+      command == "estimators") {
     if (args.size() != 1) return Usage(argv[0]);
-    ParamRowSink sink;
-    for (const core::PolicyDescriptor* d : core::ListPolicies()) {
-      if (names_only) {
-        std::printf("%s\n", d->name.c_str());
-      } else {
-        sink.Add(d->name, d->summary, d->params);
-      }
+    if (command == "policies") {
+      return ListStrategies<core::MaintenancePolicy>(names_only);
     }
-    if (!names_only) sink.table.RenderPretty(std::cout);
-    return 0;
-  }
-
-  if (command == "selections") {
-    if (args.size() != 1) return Usage(argv[0]);
-    ParamRowSink sink;
-    for (const core::SelectionDescriptor* d : core::ListSelections()) {
-      if (names_only) {
-        std::printf("%s\n", d->name.c_str());
-      } else {
-        sink.Add(d->name, d->summary, d->params);
-      }
+    if (command == "selections") {
+      return ListStrategies<core::SelectionStrategy>(names_only);
     }
-    if (!names_only) sink.table.RenderPretty(std::cout);
-    return 0;
-  }
-
-  if (command == "estimators") {
-    if (args.size() != 1) return Usage(argv[0]);
-    ParamRowSink sink;
-    for (const core::EstimatorDescriptor* d : core::ListEstimators()) {
-      if (names_only) {
-        std::printf("%s\n", d->name.c_str());
-      } else {
-        sink.Add(d->name, d->summary, d->params);
-      }
-    }
-    if (!names_only) sink.table.RenderPretty(std::cout);
-    return 0;
+    return ListStrategies<core::LifetimeEstimator>(names_only);
   }
 
   if (command == "metrics") {
@@ -228,29 +221,10 @@ int main(int argc, char** argv) {
     std::cerr << st.ToString() << "\n";
     return 1;
   }
-  if (!policy_spec.empty()) {
-    auto parsed = core::PolicySpec::Parse(policy_spec);
-    if (!parsed.ok()) {
-      std::cerr << "--policy: " << parsed.status().ToString() << "\n";
-      return 1;
-    }
-    s.options.policy = *parsed;
-  }
-  if (!selection_spec.empty()) {
-    auto parsed = core::SelectionSpec::Parse(selection_spec);
-    if (!parsed.ok()) {
-      std::cerr << "--selection: " << parsed.status().ToString() << "\n";
-      return 1;
-    }
-    s.options.selection = *parsed;
-  }
-  if (!estimator_spec.empty()) {
-    auto parsed = core::EstimatorSpec::Parse(estimator_spec);
-    if (!parsed.ok()) {
-      std::cerr << "--estimator: " << parsed.status().ToString() << "\n";
-      return 1;
-    }
-    s.options.estimator = *parsed;
+  if (!ApplyOverride("policy", policy_spec, &s.options.policy) ||
+      !ApplyOverride("selection", selection_spec, &s.options.selection) ||
+      !ApplyOverride("estimator", estimator_spec, &s.options.estimator)) {
+    return 1;
   }
   if (!transfer_link.empty()) {
     s.options.transfer_enabled = true;
@@ -301,7 +275,7 @@ int main(int argc, char** argv) {
   // scalar, four per per-category probe (the default set prints the five
   // totals plus both per-category rate blocks); a metrics.select line in the
   // file reshapes it without touching this tool.
-  auto selection = metrics::ResolveCollectedSelection(s.metrics);
+  auto selection = metrics::ResolveMetricSelection(s.metrics);
   util::Table t({"metric", "value"});
   auto row = [&t](const std::string& name, const std::string& value) {
     t.BeginRow();

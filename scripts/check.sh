@@ -43,13 +43,34 @@ echo "== metrics smoke: registry listing + a non-default metrics= sweep =="
   --metrics=repairs,losses,repair_bandwidth,time_to_repair_mean,time_to_repair_p99 \
   | head -1 | grep -q 'repair_bandwidth,time_to_repair_mean'
 
+# Every table listing the smoke loops below iterate, read up front. A bare
+# `for x in $(./build/scenario_tool list)` runs zero iterations - and passes -
+# when the listing is empty or the tool fails (set -e ignores a failing
+# command substitution in a for list), so each listing must exit 0 and name
+# at least one entry.
+read_listing() {
+  local -n entries="$1"
+  shift
+  local listing
+  listing="$("$@")" || { echo "check.sh: '$*' failed" >&2; exit 1; }
+  if [[ -z "${listing}" ]]; then
+    echo "check.sh: '$*' listed nothing" >&2
+    exit 1
+  fi
+  mapfile -t entries <<< "${listing}"
+}
+read_listing scenarios ./build/scenario_tool list
+read_listing policies ./build/scenario_tool policies --names
+read_listing selections ./build/scenario_tool selections --names
+read_listing estimators ./build/scenario_tool estimators --names
+
 echo
 echo "== scenario smoke: every registered scenario, invariant-checked =="
 # 200 rounds at 500 peers per scenario; --check makes the run fail on any
 # Validate() error or violated simulation invariant. --brief prints a
 # one-line summary (peers, rounds, wall ms, headline metrics) so CI logs
 # show what each smoke run actually did instead of discarding the output.
-for scenario in $(./build/scenario_tool list); do
+for scenario in "${scenarios[@]}"; do
   echo "-- scenario: ${scenario}"
   ./build/scenario_tool run "${scenario}" --peers=500 --rounds=200 --check \
     --brief
@@ -61,7 +82,7 @@ echo "== transfer smoke: every registered scenario on the 2009 DSL link, invaria
 # enabled: repairs queue and stretch over rounds instead of completing
 # instantly, so this exercises the enqueue / fair-share tick / completion /
 # cancel-on-departure paths (and their invariants) in every world.
-for scenario in $(./build/scenario_tool list); do
+for scenario in "${scenarios[@]}"; do
   echo "-- scenario: ${scenario} (transfer=dsl-2009)"
   ./build/scenario_tool run "${scenario}" --peers=500 --rounds=200 --check \
     --transfer=dsl-2009 --brief
@@ -72,17 +93,17 @@ echo "== strategy smoke: every registered policy, selection, and estimator, inva
 # A registered strategy that cannot complete a short run (bad defaults, a
 # FlagLevel that masks its own trigger, a crash in Choose or StabilityScore)
 # fails CI here.
-for policy in $(./build/scenario_tool policies --names); do
+for policy in "${policies[@]}"; do
   echo "-- policy: ${policy}"
   ./build/scenario_tool run paper --peers=500 --rounds=200 --check \
     --policy="${policy}" --brief
 done
-for selection in $(./build/scenario_tool selections --names); do
+for selection in "${selections[@]}"; do
   echo "-- selection: ${selection}"
   ./build/scenario_tool run paper --peers=500 --rounds=200 --check \
     --selection="${selection}" --brief
 done
-for estimator in $(./build/scenario_tool estimators --names); do
+for estimator in "${estimators[@]}"; do
   echo "-- estimator: ${estimator}"
   ./build/scenario_tool run paper --peers=500 --rounds=200 --check \
     --estimator="${estimator}" --brief

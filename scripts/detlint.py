@@ -37,14 +37,16 @@ hot-path-alloc
     markers are themselves violations.
 
 registry
-    Registry completeness: every name registered in
+    Registry completeness: every row name of the constant tables in
     src/scenario/registry.cc (named scenarios), src/core/
     strategy_registry.cc (policies / selections / estimators), and
-    src/metrics/registry.cc (metric probes) must appear in README.md, and
-    scripts/check.sh must retain the registry-driven smoke loops
+    src/metrics/registry.cc (metric probes) - each row opens with
+    `{"name",` - must appear in README.md; a table file with no such row
+    is itself a violation, so a format change cannot silence the check.
+    scripts/check.sh must retain the table-driven smoke loops
     (`scenario_tool list`, `policies --names`, `selections --names`,
-    `estimators --names`, `metrics --names`) so new registrations are
-    smoke-tested without editing the script.
+    `estimators --names`, `metrics --names`) so new rows are smoke-tested
+    without editing the script.
 
 Escape hatch
 ------------
@@ -95,6 +97,16 @@ HOT_ALLOC_PATTERNS = (
 )
 PUSH_BACK_RE = re.compile(r"\b([A-Za-z_]\w*)\s*(?:\.|->)\s*"
                           r"(?:push_back|emplace_back)\s*\(")
+
+# The constant tables behind every name a user can write: named scenarios,
+# the three strategy families, and the metric probes. Each table row opens
+# with its name: `{"name", ...`.
+REGISTRY_SOURCES = (
+    ("src", "scenario", "registry.cc"),
+    ("src", "core", "strategy_registry.cc"),
+    ("src", "metrics", "registry.cc"),
+)
+TABLE_ROW_RE = re.compile(r"\{\s*\"([\w-]+)\"\s*,")
 
 CHECK_SH_REQUIRED_LOOPS = (
     "scenario_tool list",
@@ -307,47 +319,37 @@ def check_hot_path(path, stripped, stripped_lines, raw_lines, allows,
             "hot-path-begin never closed (missing hot-path-end)"))
 
 
-def registered_names(root):
-    """(name, source_path, line) triples from the three registries."""
-    out = []
-    scen = os.path.join(root, "src", "scenario", "registry.cc")
-    if os.path.exists(scen):
-        with open(scen, encoding="utf-8") as f:
-            for idx, line in enumerate(f, start=1):
-                for m in re.finditer(r"\{\s*\"([\w-]+)\"\s*,", line):
-                    out.append((m.group(1), scen, idx))
-    strat = os.path.join(root, "src", "core", "strategy_registry.cc")
-    if os.path.exists(strat):
-        with open(strat, encoding="utf-8") as f:
-            for idx, line in enumerate(f, start=1):
-                m = re.search(r"\.name\s*=\s*\"([\w-]+)\"", line)
-                if m:
-                    out.append((m.group(1), strat, idx))
-    met = os.path.join(root, "src", "metrics", "registry.cc")
-    if os.path.exists(met):
-        with open(met, encoding="utf-8") as f:
-            text = f.read()
-        for m in re.finditer(r"Make\(\s*\"([\w-]+)\"", text):
-            line = text.count("\n", 0, m.start()) + 1
-            out.append((m.group(1), met, line))
-    return out
+def table_rows(path):
+    """(name, line) pairs of the table rows in one registry source."""
+    with open(path, encoding="utf-8") as f:
+        return [(m.group(1), idx) for idx, line in enumerate(f, start=1)
+                for m in TABLE_ROW_RE.finditer(line)]
 
 
 def check_registry(root, violations):
-    names = registered_names(root)
-    if not names:
+    sources = [os.path.join(root, *parts) for parts in REGISTRY_SOURCES]
+    sources = [path for path in sources if os.path.exists(path)]
+    if not sources:
         return
     readme_path = os.path.join(root, "README.md")
     readme = ""
     if os.path.exists(readme_path):
         with open(readme_path, encoding="utf-8") as f:
             readme = f.read()
-    for name, src, line in names:
-        if name not in readme:
+    for src in sources:
+        rel = os.path.relpath(src, root)
+        rows = table_rows(src)
+        if not rows:
             violations.append(Violation(
-                os.path.relpath(src, root), line, "registry",
-                "registered name '%s' missing from README.md (document "
-                "every descriptor in the registry tables)" % name))
+                rel, 1, "registry",
+                "no table rows found (rows open with {\"name\", ...): "
+                "README coverage cannot be checked"))
+        for name, line in rows:
+            if name not in readme:
+                violations.append(Violation(
+                    rel, line, "registry",
+                    "registered name '%s' missing from README.md (document "
+                    "every row of the registry tables)" % name))
     check_sh = os.path.join(root, "scripts", "check.sh")
     if os.path.exists(check_sh):
         with open(check_sh, encoding="utf-8") as f:
@@ -357,7 +359,7 @@ def check_registry(root, violations):
                 violations.append(Violation(
                     os.path.join("scripts", "check.sh"), 1, "registry",
                     "check.sh lost its registry smoke loop ('%s'): new "
-                    "registrations would ship un-smoked" % marker))
+                    "table rows would ship un-smoked" % marker))
 
 
 def lint_file(root, path, violations):

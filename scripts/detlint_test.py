@@ -197,31 +197,74 @@ def registry_tree(readme, check_sh=CHECK_SH_ALL_LOOPS):
             "    {\"paper\", Paper}, {\"ghost-world\", Ghost},\n"
             "};\n"),
         "src/core/strategy_registry.cc": (
-            "d.name = \"oldest-first\";\n"),
+            "  static const StrategyFamily<SelectionStrategy> family{\n"
+            "      \"selection\",\n"
+            "      {\n"
+            "          {\"oldest-first\",\n"
+            "           \"sort by age descending (the paper)\",\n"
+            "           {},\n"
+            "           nullptr,\n"
+            "           MakeOldestFirst},\n"
+            "          {\"coin-toss\", \"...\", {}, nullptr, MakeCoinToss},\n"
+            "      }};\n"),
         "src/metrics/registry.cc": (
-            "r->metrics.push_back(Make(\n"
-            "    \"repairs\", \"ops\", \"...\"));\n"),
+            "  static const std::vector<MetricDescriptor> table{\n"
+            "      {\"repairs\", \"ops\",\n"
+            "       \"repair operations triggered\",\n"
+            "       &P::repairs, nullptr, kCount, kMoments, true},\n"
+            "      {\"ghost_probe\", \"ops\", \"...\", &P::ghost, nullptr,\n"
+            "       kCount, kMoments, false},\n"
+            "  };\n"),
         "README.md": readme,
         "scripts/check.sh": check_sh,
     }
 
 
+ALL_DOCUMENTED = "paper ghost-world oldest-first coin-toss repairs ghost_probe\n"
+
+
 class RegistryRule(unittest.TestCase):
-    def test_name_missing_from_readme_fires(self):
+    def test_documented_names_stay_quiet(self):
+        code, _ = run_on(registry_tree(ALL_DOCUMENTED))
+        self.assertEqual(code, 0)
+
+    def test_undocumented_scenario_fires(self):
         code, out = run_on(registry_tree(
-            "paper oldest-first repairs\n"))  # ghost-world undocumented
+            ALL_DOCUMENTED.replace("ghost-world ", "")))
         self.assertEqual(code, 1)
         self.assertIn("[registry]", out)
+        self.assertIn("src/scenario/registry.cc:2", out)
         self.assertIn("ghost-world", out)
 
-    def test_documented_names_stay_quiet(self):
-        code, _ = run_on(registry_tree(
-            "paper ghost-world oldest-first repairs\n"))
-        self.assertEqual(code, 0)
+    def test_undocumented_strategy_fires(self):
+        code, out = run_on(registry_tree(
+            ALL_DOCUMENTED.replace("coin-toss ", "")))
+        self.assertEqual(code, 1)
+        self.assertEqual(out.count("[registry]"), 1)
+        self.assertIn("src/core/strategy_registry.cc:9", out)
+        self.assertIn("coin-toss", out)
+
+    def test_undocumented_metric_fires(self):
+        code, out = run_on(registry_tree(
+            ALL_DOCUMENTED.replace("ghost_probe", "")))
+        self.assertEqual(code, 1)
+        self.assertEqual(out.count("[registry]"), 1)
+        self.assertIn("src/metrics/registry.cc:5", out)
+        self.assertIn("ghost_probe", out)
+
+    def test_table_without_rows_fires(self):
+        # A table format the parser no longer recognises must not silence
+        # the README check.
+        tree = registry_tree(ALL_DOCUMENTED)
+        tree["src/metrics/registry.cc"] = (
+            "r->metrics.push_back(Make(\"repairs\", \"ops\"));\n")
+        code, out = run_on(tree)
+        self.assertEqual(code, 1)
+        self.assertIn("no table rows found", out)
 
     def test_missing_smoke_loop_fires(self):
         code, out = run_on(registry_tree(
-            "paper ghost-world oldest-first repairs\n",
+            ALL_DOCUMENTED,
             check_sh="#!/usr/bin/env bash\n./build/scenario_tool list\n"))
         self.assertEqual(code, 1)
         self.assertIn("smoke loop", out)

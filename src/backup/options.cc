@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "core/strategy_registry.h"
 #include "transfer/link.h"
 
 namespace p2p {
@@ -10,6 +11,29 @@ namespace {
 
 util::Status Invalid(const std::string& msg) {
   return util::Status::InvalidArgument(msg);
+}
+
+// A parameter whose default follows repair_threshold is a repair threshold
+// too, so when set explicitly it must lie in the same [k, k + m]. `spec` has
+// already passed Validate().
+template <typename Product>
+util::Status CheckThresholdParams(const core::FamilySpec<Product>& spec, int k,
+                                  int m) {
+  for (const core::ParamInfo& info :
+       core::FindStrategy<Product>(spec.name)->params) {
+    const auto it = spec.params.find(info.name);
+    if (info.contextual_default != core::ContextDefault::kRepairThreshold ||
+        it == spec.params.end()) {
+      continue;
+    }
+    const int64_t v = it->second.int_value;
+    if (v < k || v > k + m) {
+      return Invalid(spec.name + ": parameter '" + info.name + "' = " +
+                     std::to_string(v) + " outside [k, k + m] = [" +
+                     std::to_string(k) + ", " + std::to_string(k + m) + "]");
+    }
+  }
+  return util::Status::OK();
 }
 
 }  // namespace
@@ -76,11 +100,14 @@ util::Status SystemOptions::Validate() const {
       !link.ok()) {
     return link.status();
   }
-  // Strategy specs: name must be registered, parameters typed and in range.
-  if (util::Status st = policy.Validate(); !st.ok()) return st;
-  if (util::Status st = selection.Validate(); !st.ok()) return st;
-  if (util::Status st = estimator.Validate(); !st.ok()) return st;
-  return util::Status::OK();
+  // Strategy specs: name must be in the family's table, parameters typed
+  // and in range, thresholds inside the code geometry.
+  P2P_RETURN_IF_ERROR(policy.Validate());
+  P2P_RETURN_IF_ERROR(selection.Validate());
+  P2P_RETURN_IF_ERROR(estimator.Validate());
+  P2P_RETURN_IF_ERROR(CheckThresholdParams(policy, k, m));
+  P2P_RETURN_IF_ERROR(CheckThresholdParams(selection, k, m));
+  return CheckThresholdParams(estimator, k, m);
 }
 
 bool operator==(const SystemOptions& a, const SystemOptions& b) {

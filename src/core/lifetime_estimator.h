@@ -8,7 +8,7 @@
 // uptime, how long since it was last seen - to a stability score, and the
 // selection strategies rank placement candidates by that score.
 //
-// Four estimators are registered (strategy_registry.h):
+// Four estimators are in the table (strategy_registry.h):
 //   age-rank              score = min(age, horizon); the paper's criterion.
 //   pareto-residual       expected residual lifetime under Pareto lifetimes
 //                         (the paper's analytic justification for age-rank).
@@ -19,7 +19,7 @@
 //
 // Scores are nonnegative with arbitrary scale: only the induced ranking
 // matters to selection. Every estimator must be monotone nondecreasing in
-// age at fixed availability (property-tested for every registered spec), so
+// age at fixed availability (property-tested for every table row), so
 // ranking by score refines - never contradicts - the paper's age ordering.
 
 #ifndef P2P_CORE_LIFETIME_ESTIMATOR_H_

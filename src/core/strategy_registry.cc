@@ -1,23 +1,11 @@
 #include "core/strategy_registry.h"
 
-#include <deque>
-#include <mutex>
-
 #include "sim/clock.h"
 #include "util/logging.h"
 
 namespace p2p {
 namespace core {
 namespace {
-
-// Stable-address storage (deque) so ListPolicies/FindPolicy pointers stay
-// valid across later registrations.
-struct Registries {
-  std::mutex mutex;
-  std::deque<PolicyDescriptor> policies;
-  std::deque<SelectionDescriptor> selections;
-  std::deque<EstimatorDescriptor> estimators;
-};
 
 ParamInfo IntParam(const std::string& name, int64_t def, double min_value,
                    double max_value, const std::string& help) {
@@ -43,234 +31,241 @@ ParamInfo DoubleParam(const std::string& name, double def, double min_value,
   return info;
 }
 
-// The repair threshold defaults to SystemOptions::repair_threshold, so a
-// bare `fixed-threshold` reproduces the paper's configuration exactly.
-ParamInfo ContextualThreshold(const std::string& help) {
-  ParamInfo info = IntParam("threshold", 0, 1.0, 1 << 20, help);
-  info.contextual_default = "repair_threshold";
+// A round-count parameter whose default follows a SystemOptions knob: a bare
+// `fixed-threshold` triggers at SystemOptions::repair_threshold, and a bare
+// `age-rank` saturates exactly where the acceptance function does.
+ParamInfo ContextualParam(const std::string& name, ContextDefault knob,
+                          const std::string& help) {
+  ParamInfo info = IntParam(name, 0, 1.0, 1 << 20, help);
+  info.contextual_default = knob;
   return info;
 }
 
-// Estimator horizons default to SystemOptions::acceptance_horizon, so a
-// bare `age-rank` saturates exactly where the acceptance function does.
-ParamInfo ContextualHorizon(const std::string& help) {
-  ParamInfo info = IntParam("horizon", 0, 1.0, 1 << 20, help);
-  info.contextual_default = "acceptance_horizon";
-  return info;
-}
-
-void RegisterBuiltinsLocked(Registries* r) {
-  // --- policies ---
-  {
-    PolicyDescriptor d;
-    d.name = "fixed-threshold";
-    d.summary = "repair when alive < threshold; restore to n (the paper)";
-    d.params = {ContextualThreshold("trigger level k'")};
-    d.make = [](const ResolvedParams& p, const StrategyEnv&) {
-      return std::make_unique<FixedThresholdPolicy>(
-          static_cast<int>(p.Int("threshold")));
-    };
-    r->policies.push_back(std::move(d));
+// Instantiates a spec against its family's table: a validated spec, its
+// contextual defaults resolved against `env`.
+template <typename Product>
+util::Result<std::unique_ptr<Product>> MakeStrategy(
+    const FamilySpec<Product>& spec, const StrategyEnv& env) {
+  P2P_RETURN_IF_ERROR(spec.Validate());
+  const StrategyDescriptor<Product>* descriptor =
+      FindStrategy<Product>(spec.name);
+  ResolvedParams resolved(descriptor->params, spec.params, env);
+  // Validate() could only exercise the cross-parameter check against a
+  // default env; re-run it here with the contextual defaults actually
+  // resolved, so a check involving e.g. `threshold` sees the real value.
+  if (descriptor->check) {
+    P2P_RETURN_IF_ERROR(descriptor->check(resolved));
   }
-  {
-    PolicyDescriptor d;
-    d.name = "adaptive-threshold";
-    d.summary = "threshold follows the measured partner loss rate "
-                "(paper future work)";
-    d.params = {
-        DoubleParam("safety_factor", 3.0, 0.0, 1e6,
-                    "multiplier on the expected losses"),
-        IntParam("reaction_rounds", 3 * sim::kRoundsPerDay, 1, 1 << 20,
-                 "rounds of expected losses the margin covers"),
-        IntParam("floor_margin", 4, 0, 1 << 20, "threshold >= k + floor"),
-        IntParam("ceiling_margin", 64, 0, 1 << 20, "threshold <= k + ceiling"),
-    };
-    d.check = [](const ResolvedParams& p) {
-      if (p.Int("floor_margin") > p.Int("ceiling_margin")) {
-        return util::Status::InvalidArgument(
-            "adaptive-threshold: floor_margin " +
-            std::to_string(p.Int("floor_margin")) + " > ceiling_margin " +
-            std::to_string(p.Int("ceiling_margin")));
-      }
-      return util::Status::OK();
-    };
-    d.make = [](const ResolvedParams& p, const StrategyEnv&) {
-      AdaptiveThresholdPolicy::Options o;
-      o.safety_factor = p.Double("safety_factor");
-      o.reaction_rounds = p.Int("reaction_rounds");
-      o.floor_margin = static_cast<int>(p.Int("floor_margin"));
-      o.ceiling_margin = static_cast<int>(p.Int("ceiling_margin"));
-      return std::make_unique<AdaptiveThresholdPolicy>(o);
-    };
-    r->policies.push_back(std::move(d));
-  }
-  {
-    PolicyDescriptor d;
-    d.name = "proactive";
-    d.summary = "top up missing blocks in small batches (Duminuco et al.)";
-    d.params = {
-        IntParam("batch_blocks", 8, 1, 1 << 20,
-                 "repair once this many blocks are missing"),
-        [] {
-          ParamInfo info =
-              IntParam("emergency_threshold", 0, 1, 1 << 20,
-                       "always repair below this level");
-          info.contextual_default = "repair_threshold";
-          return info;
-        }(),
-    };
-    d.make = [](const ResolvedParams& p, const StrategyEnv&) {
-      ProactivePolicy::Options o;
-      o.batch_blocks = static_cast<int>(p.Int("batch_blocks"));
-      o.emergency_threshold = static_cast<int>(p.Int("emergency_threshold"));
-      return std::make_unique<ProactivePolicy>(o);
-    };
-    r->policies.push_back(std::move(d));
-  }
-  {
-    PolicyDescriptor d;
-    d.name = "adaptive-redundancy";
-    d.summary = "redundancy target follows the measured loss rate "
-                "(Dell'Amico et al.)";
-    d.params = {
-        ContextualThreshold("trigger level"),
-        DoubleParam("safety_factor", 2.0, 0.0, 1e6,
-                    "multiplier on the expected losses"),
-        IntParam("horizon_rounds", 14 * sim::kRoundsPerDay, 1, 1 << 20,
-                 "rounds of losses the redundancy target must absorb"),
-        IntParam("min_extra", 8, 1, 1 << 20,
-                 "restore at least this far above the trigger level"),
-    };
-    d.make = [](const ResolvedParams& p, const StrategyEnv&) {
-      AdaptiveRedundancyPolicy::Options o;
-      o.threshold = static_cast<int>(p.Int("threshold"));
-      o.safety_factor = p.Double("safety_factor");
-      o.horizon_rounds = p.Int("horizon_rounds");
-      o.min_extra = static_cast<int>(p.Int("min_extra"));
-      return std::make_unique<AdaptiveRedundancyPolicy>(o);
-    };
-    r->policies.push_back(std::move(d));
-  }
-
-  // --- selections ---
-  {
-    SelectionDescriptor d;
-    d.name = "oldest-first";
-    d.summary = "sort by age descending, random tie-break (the paper)";
-    d.make = [](const ResolvedParams&) {
-      return std::make_unique<OldestFirstSelection>();
-    };
-    r->selections.push_back(std::move(d));
-  }
-  {
-    SelectionDescriptor d;
-    d.name = "random";
-    d.summary = "uniform over the pool (age-oblivious baseline)";
-    d.make = [](const ResolvedParams&) {
-      return std::make_unique<RandomSelection>();
-    };
-    r->selections.push_back(std::move(d));
-  }
-  {
-    SelectionDescriptor d;
-    d.name = "youngest-first";
-    d.summary = "sort by age ascending (adversarial baseline)";
-    d.make = [](const ResolvedParams&) {
-      return std::make_unique<YoungestFirstSelection>();
-    };
-    r->selections.push_back(std::move(d));
-  }
-  {
-    SelectionDescriptor d;
-    d.name = "weighted-random";
-    d.summary = "draw hosts with probability ~ (age+1)^age_exponent; 0 = "
-                "uniform, large = oldest-first";
-    d.params = {DoubleParam("age_exponent", 1.0, 0.0, 16.0,
-                            "age weighting exponent")};
-    d.make = [](const ResolvedParams& p) {
-      return std::make_unique<WeightedRandomSelection>(
-          p.Double("age_exponent"));
-    };
-    r->selections.push_back(std::move(d));
-  }
-
-  // --- estimators ---
-  {
-    EstimatorDescriptor d;
-    d.name = "age-rank";
-    d.summary = "score = min(age, horizon) (the paper)";
-    d.params = {ContextualHorizon("age saturation horizon L, rounds")};
-    d.make = [](const ResolvedParams& p, const StrategyEnv&) {
-      return std::make_unique<AgeRankEstimator>(
-          static_cast<sim::Round>(p.Int("horizon")));
-    };
-    r->estimators.push_back(std::move(d));
-  }
-  {
-    EstimatorDescriptor d;
-    d.name = "pareto-residual";
-    d.summary = "expected residual lifetime under Pareto(scale, shape) "
-                "lifetimes (the paper's analytic model)";
-    d.params = {
-        DoubleParam("scale", 24.0, 1.0, 1e9,
-                    "Pareto scale (minimum lifetime), rounds"),
-        DoubleParam("shape", 2.0, 0.01, 64.0,
-                    "Pareto tail exponent; <= 1 is the infinite-mean regime"),
-    };
-    d.make = [](const ResolvedParams& p, const StrategyEnv&) {
-      return std::make_unique<ParetoResidualEstimator>(p.Double("scale"),
-                                                      p.Double("shape"));
-    };
-    r->estimators.push_back(std::move(d));
-  }
-  {
-    EstimatorDescriptor d;
-    d.name = "empirical-residual";
-    d.summary = "departure-age histogram CDF learned online during the run";
-    d.params = {
-        IntParam("buckets", 90, 2, 1 << 16, "histogram buckets"),
-        IntParam("bucket_rounds", sim::kRoundsPerDay, 1, 1 << 20,
-                 "rounds per bucket (default one day)"),
-        ContextualHorizon("age-rank tie-break horizon, rounds"),
-    };
-    d.make = [](const ResolvedParams& p, const StrategyEnv&) {
-      return std::make_unique<EmpiricalResidualEstimator>(
-          static_cast<int>(p.Int("buckets")),
-          static_cast<sim::Round>(p.Int("bucket_rounds")),
-          static_cast<sim::Round>(p.Int("horizon")));
-    };
-    r->estimators.push_back(std::move(d));
-  }
-  {
-    EstimatorDescriptor d;
-    d.name = "availability-weighted";
-    d.summary = "age rank discounted by recent uptime (Dell'Amico et al.)";
-    d.params = {
-        ContextualHorizon("age saturation horizon, rounds"),
-        DoubleParam("exponent", 1.0, 0.0, 16.0,
-                    "uptime weight exponent; 0 = pure age-rank"),
-        DoubleParam("floor", 0.05, 0.0, 1.0,
-                    "minimum uptime weight (keeps fresh peers selectable)"),
-    };
-    d.make = [](const ResolvedParams& p, const StrategyEnv&) {
-      return std::make_unique<AvailabilityWeightedEstimator>(
-          static_cast<sim::Round>(p.Int("horizon")), p.Double("exponent"),
-          p.Double("floor"));
-    };
-    r->estimators.push_back(std::move(d));
-  }
-}
-
-Registries& GetRegistries() {
-  static Registries* r = [] {
-    auto* fresh = new Registries();
-    RegisterBuiltinsLocked(fresh);
-    return fresh;
-  }();
-  return *r;
+  return descriptor->make(resolved, env);
 }
 
 }  // namespace
+
+template <>
+const StrategyFamily<MaintenancePolicy>& Family() {
+  static const StrategyFamily<MaintenancePolicy> family{
+      "policy",
+      {
+          {"fixed-threshold",
+           "repair when alive < threshold; restore to n (the paper)",
+           {ContextualParam("threshold", ContextDefault::kRepairThreshold,
+                            "trigger level k'")},
+           nullptr,
+           [](const ResolvedParams& p, const StrategyEnv&) {
+             return std::make_unique<FixedThresholdPolicy>(
+                 static_cast<int>(p.Int("threshold")));
+           }},
+          {"adaptive-threshold",
+           "threshold follows the measured partner loss rate "
+           "(paper future work)",
+           {
+               DoubleParam("safety_factor", 3.0, 0.0, 1e6,
+                           "multiplier on the expected losses"),
+               IntParam("reaction_rounds", 3 * sim::kRoundsPerDay, 1, 1 << 20,
+                        "rounds of expected losses the margin covers"),
+               IntParam("floor_margin", 4, 0, 1 << 20,
+                        "threshold >= k + floor"),
+               IntParam("ceiling_margin", 64, 0, 1 << 20,
+                        "threshold <= k + ceiling"),
+           },
+           [](const ResolvedParams& p) {
+             if (p.Int("floor_margin") > p.Int("ceiling_margin")) {
+               return util::Status::InvalidArgument(
+                   "adaptive-threshold: floor_margin " +
+                   std::to_string(p.Int("floor_margin")) +
+                   " > ceiling_margin " +
+                   std::to_string(p.Int("ceiling_margin")));
+             }
+             return util::Status::OK();
+           },
+           [](const ResolvedParams& p, const StrategyEnv&) {
+             AdaptiveThresholdPolicy::Options o;
+             o.safety_factor = p.Double("safety_factor");
+             o.reaction_rounds = p.Int("reaction_rounds");
+             o.floor_margin = static_cast<int>(p.Int("floor_margin"));
+             o.ceiling_margin = static_cast<int>(p.Int("ceiling_margin"));
+             return std::make_unique<AdaptiveThresholdPolicy>(o);
+           }},
+          {"proactive",
+           "top up missing blocks in small batches (Duminuco et al.)",
+           {
+               IntParam("batch_blocks", 8, 1, 1 << 20,
+                        "repair once this many blocks are missing"),
+               ContextualParam("emergency_threshold",
+                               ContextDefault::kRepairThreshold,
+                               "always repair below this level"),
+           },
+           nullptr,
+           [](const ResolvedParams& p, const StrategyEnv&) {
+             ProactivePolicy::Options o;
+             o.batch_blocks = static_cast<int>(p.Int("batch_blocks"));
+             o.emergency_threshold =
+                 static_cast<int>(p.Int("emergency_threshold"));
+             return std::make_unique<ProactivePolicy>(o);
+           }},
+          {"adaptive-redundancy",
+           "redundancy target follows the measured loss rate "
+           "(Dell'Amico et al.)",
+           {
+               ContextualParam("threshold", ContextDefault::kRepairThreshold,
+                               "trigger level"),
+               DoubleParam("safety_factor", 2.0, 0.0, 1e6,
+                           "multiplier on the expected losses"),
+               IntParam("horizon_rounds", 14 * sim::kRoundsPerDay, 1, 1 << 20,
+                        "rounds of losses the redundancy target must absorb"),
+               IntParam("min_extra", 8, 1, 1 << 20,
+                        "restore at least this far above the trigger level"),
+           },
+           nullptr,
+           [](const ResolvedParams& p, const StrategyEnv&) {
+             AdaptiveRedundancyPolicy::Options o;
+             o.threshold = static_cast<int>(p.Int("threshold"));
+             o.safety_factor = p.Double("safety_factor");
+             o.horizon_rounds = p.Int("horizon_rounds");
+             o.min_extra = static_cast<int>(p.Int("min_extra"));
+             return std::make_unique<AdaptiveRedundancyPolicy>(o);
+           }},
+      }};
+  return family;
+}
+
+template <>
+const StrategyFamily<SelectionStrategy>& Family() {
+  static const StrategyFamily<SelectionStrategy> family{
+      "selection",
+      {
+          {"oldest-first",
+           "sort by age descending, random tie-break (the paper)",
+           {},
+           nullptr,
+           [](const ResolvedParams&, const StrategyEnv&) {
+             return std::make_unique<OldestFirstSelection>();
+           }},
+          {"random",
+           "uniform over the pool (age-oblivious baseline)",
+           {},
+           nullptr,
+           [](const ResolvedParams&, const StrategyEnv&) {
+             return std::make_unique<RandomSelection>();
+           }},
+          {"youngest-first",
+           "sort by age ascending (adversarial baseline)",
+           {},
+           nullptr,
+           [](const ResolvedParams&, const StrategyEnv&) {
+             return std::make_unique<YoungestFirstSelection>();
+           }},
+          {"weighted-random",
+           "draw hosts with probability ~ (age+1)^age_exponent; 0 = "
+           "uniform, large = oldest-first",
+           {DoubleParam("age_exponent", 1.0, 0.0, 16.0,
+                        "age weighting exponent")},
+           nullptr,
+           [](const ResolvedParams& p, const StrategyEnv&) {
+             return std::make_unique<WeightedRandomSelection>(
+                 p.Double("age_exponent"));
+           }},
+      }};
+  return family;
+}
+
+template <>
+const StrategyFamily<LifetimeEstimator>& Family() {
+  static const StrategyFamily<LifetimeEstimator> family{
+      "estimator",
+      {
+          {"age-rank",
+           "score = min(age, horizon) (the paper)",
+           {ContextualParam("horizon", ContextDefault::kAcceptanceHorizon,
+                            "age saturation horizon L, rounds")},
+           nullptr,
+           [](const ResolvedParams& p, const StrategyEnv&) {
+             return std::make_unique<AgeRankEstimator>(
+                 static_cast<sim::Round>(p.Int("horizon")));
+           }},
+          {"pareto-residual",
+           "expected residual lifetime under Pareto(scale, shape) "
+           "lifetimes (the paper's analytic model)",
+           {
+               DoubleParam("scale", 24.0, 1.0, 1e9,
+                           "Pareto scale (minimum lifetime), rounds"),
+               DoubleParam("shape", 2.0, 0.01, 64.0,
+                           "Pareto tail exponent; <= 1 is the infinite-mean "
+                           "regime"),
+           },
+           nullptr,
+           [](const ResolvedParams& p, const StrategyEnv&) {
+             return std::make_unique<ParetoResidualEstimator>(
+                 p.Double("scale"), p.Double("shape"));
+           }},
+          {"empirical-residual",
+           "departure-age histogram CDF learned online during the run",
+           {
+               IntParam("buckets", 90, 2, 1 << 16, "histogram buckets"),
+               IntParam("bucket_rounds", sim::kRoundsPerDay, 1, 1 << 20,
+                        "rounds per bucket (default one day)"),
+               ContextualParam("horizon", ContextDefault::kAcceptanceHorizon,
+                               "age-rank tie-break horizon, rounds"),
+           },
+           nullptr,
+           [](const ResolvedParams& p, const StrategyEnv&) {
+             return std::make_unique<EmpiricalResidualEstimator>(
+                 static_cast<int>(p.Int("buckets")),
+                 static_cast<sim::Round>(p.Int("bucket_rounds")),
+                 static_cast<sim::Round>(p.Int("horizon")));
+           }},
+          {"availability-weighted",
+           "age rank discounted by recent uptime (Dell'Amico et al.)",
+           {
+               ContextualParam("horizon", ContextDefault::kAcceptanceHorizon,
+                               "age saturation horizon, rounds"),
+               DoubleParam("exponent", 1.0, 0.0, 16.0,
+                           "uptime weight exponent; 0 = pure age-rank"),
+               DoubleParam("floor", 0.05, 0.0, 1.0,
+                           "minimum uptime weight (keeps fresh peers "
+                           "selectable)"),
+           },
+           nullptr,
+           [](const ResolvedParams& p, const StrategyEnv&) {
+             return std::make_unique<AvailabilityWeightedEstimator>(
+                 static_cast<sim::Round>(p.Int("horizon")),
+                 p.Double("exponent"), p.Double("floor"));
+           }},
+      }};
+  return family;
+}
+
+const char* ContextDefaultName(ContextDefault knob) {
+  switch (knob) {
+    case ContextDefault::kNone:
+      return "";
+    case ContextDefault::kRepairThreshold:
+      return "repair_threshold";
+    case ContextDefault::kAcceptanceHorizon:
+      return "acceptance_horizon";
+  }
+  return "";
+}
 
 ResolvedParams::ResolvedParams(const std::vector<ParamInfo>& infos,
                                const ParamMap& given, const StrategyEnv& env) {
@@ -278,13 +273,18 @@ ResolvedParams::ResolvedParams(const std::vector<ParamInfo>& infos,
     const auto it = given.find(info.name);
     if (it != given.end()) {
       values_[info.name] = it->second;
-    } else if (info.contextual_default == "repair_threshold") {
-      values_[info.name] = ParamValue::Int(env.repair_threshold);
-    } else if (info.contextual_default == "acceptance_horizon") {
-      values_[info.name] = ParamValue::Int(env.acceptance_horizon);
-    } else {
-      P2P_CHECK(info.contextual_default.empty());
-      values_[info.name] = info.def;
+      continue;
+    }
+    switch (info.contextual_default) {
+      case ContextDefault::kNone:
+        values_[info.name] = info.def;
+        break;
+      case ContextDefault::kRepairThreshold:
+        values_[info.name] = ParamValue::Int(env.repair_threshold);
+        break;
+      case ContextDefault::kAcceptanceHorizon:
+        values_[info.name] = ParamValue::Int(env.acceptance_horizon);
+        break;
     }
   }
 }
@@ -301,146 +301,19 @@ double ResolvedParams::Double(const std::string& name) const {
   return it->second.AsDouble();
 }
 
-std::vector<const PolicyDescriptor*> ListPolicies() {
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<const PolicyDescriptor*> out;
-  for (const PolicyDescriptor& d : r.policies) out.push_back(&d);
-  return out;
-}
-
-std::vector<const SelectionDescriptor*> ListSelections() {
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<const SelectionDescriptor*> out;
-  for (const SelectionDescriptor& d : r.selections) out.push_back(&d);
-  return out;
-}
-
-const PolicyDescriptor* FindPolicy(const std::string& name) {
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const PolicyDescriptor& d : r.policies) {
-    if (d.name == name) return &d;
-  }
-  return nullptr;
-}
-
-const SelectionDescriptor* FindSelection(const std::string& name) {
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const SelectionDescriptor& d : r.selections) {
-    if (d.name == name) return &d;
-  }
-  return nullptr;
-}
-
-std::vector<const EstimatorDescriptor*> ListEstimators() {
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  std::vector<const EstimatorDescriptor*> out;
-  for (const EstimatorDescriptor& d : r.estimators) out.push_back(&d);
-  return out;
-}
-
-const EstimatorDescriptor* FindEstimator(const std::string& name) {
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const EstimatorDescriptor& d : r.estimators) {
-    if (d.name == name) return &d;
-  }
-  return nullptr;
-}
-
-namespace {
-
-// The contextual-default vocabulary: the only SystemOptions knobs a
-// parameter default may follow today. Checked at registration so a typo'd
-// descriptor fails at startup, not at first instantiation mid-run.
-template <typename Descriptor>
-void CheckDescriptorParams(const Descriptor& descriptor) {
-  for (const ParamInfo& info : descriptor.params) {
-    P2P_CHECK(info.contextual_default.empty() ||
-              info.contextual_default == "repair_threshold" ||
-              info.contextual_default == "acceptance_horizon");
-  }
-}
-
-}  // namespace
-
-void RegisterPolicy(PolicyDescriptor descriptor) {
-  P2P_CHECK(!descriptor.name.empty());
-  P2P_CHECK(descriptor.make != nullptr);
-  CheckDescriptorParams(descriptor);
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  // Duplicate check under the same lock as the insert, so two concurrent
-  // registrations of one name cannot both slip past it.
-  for (const PolicyDescriptor& d : r.policies) {
-    P2P_CHECK(d.name != descriptor.name);
-  }
-  r.policies.push_back(std::move(descriptor));
-}
-
-void RegisterSelection(SelectionDescriptor descriptor) {
-  P2P_CHECK(!descriptor.name.empty());
-  P2P_CHECK(descriptor.make != nullptr);
-  CheckDescriptorParams(descriptor);
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const SelectionDescriptor& d : r.selections) {
-    P2P_CHECK(d.name != descriptor.name);
-  }
-  r.selections.push_back(std::move(descriptor));
-}
-
-void RegisterEstimator(EstimatorDescriptor descriptor) {
-  P2P_CHECK(!descriptor.name.empty());
-  P2P_CHECK(descriptor.make != nullptr);
-  CheckDescriptorParams(descriptor);
-  Registries& r = GetRegistries();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const EstimatorDescriptor& d : r.estimators) {
-    P2P_CHECK(d.name != descriptor.name);
-  }
-  r.estimators.push_back(std::move(descriptor));
-}
-
 util::Result<std::unique_ptr<MaintenancePolicy>> MakePolicy(
     const PolicySpec& spec, const StrategyEnv& env) {
-  P2P_RETURN_IF_ERROR(spec.Validate());
-  const PolicyDescriptor* descriptor = FindPolicy(spec.name);
-  ResolvedParams resolved(descriptor->params, spec.params, env);
-  // Validate() could only exercise the cross-parameter check against a
-  // default env; re-run it here with the contextual defaults actually
-  // resolved, so a check involving e.g. `threshold` sees the real value.
-  if (descriptor->check) {
-    P2P_RETURN_IF_ERROR(descriptor->check(resolved));
-  }
-  return descriptor->make(resolved, env);
+  return MakeStrategy(spec, env);
 }
 
 util::Result<std::unique_ptr<SelectionStrategy>> MakeSelection(
     const SelectionSpec& spec) {
-  P2P_RETURN_IF_ERROR(spec.Validate());
-  const SelectionDescriptor* descriptor = FindSelection(spec.name);
-  // Selections have no contextual parameters, so Validate()'s check pass
-  // already saw the final values; no re-run needed.
-  return descriptor->make(
-      ResolvedParams(descriptor->params, spec.params, {}));
+  return MakeStrategy(spec, StrategyEnv{});
 }
 
 util::Result<std::unique_ptr<LifetimeEstimator>> MakeEstimator(
     const EstimatorSpec& spec, const StrategyEnv& env) {
-  P2P_RETURN_IF_ERROR(spec.Validate());
-  const EstimatorDescriptor* descriptor = FindEstimator(spec.name);
-  ResolvedParams resolved(descriptor->params, spec.params, env);
-  // Re-run the cross-parameter check with contextual defaults resolved
-  // against this run's env (see MakePolicy).
-  if (descriptor->check) {
-    P2P_RETURN_IF_ERROR(descriptor->check(resolved));
-  }
-  return descriptor->make(resolved, env);
+  return MakeStrategy(spec, env);
 }
 
 }  // namespace core

@@ -1,15 +1,13 @@
-// The strategy registry: the set of maintenance policies, selection
-// strategies, and lifetime estimators a run can name, each described
-// declaratively (parameters with types, defaults, valid ranges) and
-// instantiated through a factory.
+// The strategy tables: the maintenance policies, selection strategies, and
+// lifetime estimators a run can name, each described declaratively
+// (parameters with types, defaults, valid ranges) and instantiated through a
+// factory.
 //
-// Built-ins register themselves on first access; RegisterPolicy /
-// RegisterSelection / RegisterEstimator add further strategies (call before
-// any concurrent sweep starts - registration is mutex-guarded, but a
-// strategy must be registered before a cell naming it is expanded).
-// `scenario_tool policies` / `selections` / `estimators` list everything
-// here, and scripts/check.sh smoke-runs every registered strategy, so an
-// unrunnable registration fails CI rather than lurking.
+// Each family is one constant table in strategy_registry.cc, in listing
+// order; adding a strategy is one table row plus its class. `scenario_tool
+// policies` / `selections` / `estimators` list the tables, and
+// scripts/check.sh smoke-runs every row, so an unrunnable strategy fails CI
+// rather than lurking.
 
 #ifndef P2P_CORE_STRATEGY_REGISTRY_H_
 #define P2P_CORE_STRATEGY_REGISTRY_H_
@@ -30,17 +28,26 @@
 namespace p2p {
 namespace core {
 
-/// Declares one parameter of a registered strategy.
+/// The SystemOptions knob a parameter's default follows, resolved from
+/// StrategyEnv at instantiation.
+enum class ContextDefault {
+  kNone,              ///< the default is ParamInfo::def
+  kRepairThreshold,   ///< SystemOptions::repair_threshold
+  kAcceptanceHorizon, ///< SystemOptions::acceptance_horizon
+};
+
+/// The knob's SystemOptions field name ("repair_threshold", ...); empty for
+/// kNone. For listings.
+const char* ContextDefaultName(ContextDefault knob);
+
+/// Declares one parameter of a strategy.
 struct ParamInfo {
   std::string name;
   ParamType type = ParamType::kInt;
-  /// Default when the spec does not set the parameter. Ignored when
-  /// `contextual_default` is non-empty.
+  /// Default when the spec does not set the parameter and
+  /// `contextual_default` is kNone.
   ParamValue def;
-  /// Name of the SystemOptions knob the default follows ("repair_threshold"
-  /// or "acceptance_horizon") - resolved from StrategyEnv at instantiation;
-  /// empty = use `def`.
-  std::string contextual_default;
+  ContextDefault contextual_default = ContextDefault::kNone;
   /// Inclusive numeric range a value must lie in.
   double min_value = 0.0;
   double max_value = 0.0;
@@ -72,55 +79,54 @@ class ResolvedParams {
   ParamMap values_;
 };
 
-/// One registered maintenance policy.
-struct PolicyDescriptor {
+/// One strategy: a row of its family's table. Every family shares this
+/// shape; only the product the factory makes differs.
+template <typename Product>
+struct StrategyDescriptor {
   std::string name;
   std::string summary;
   std::vector<ParamInfo> params;
   /// Cross-parameter consistency check (e.g. floor <= ceiling); optional.
   std::function<util::Status(const ResolvedParams&)> check;
-  std::function<std::unique_ptr<MaintenancePolicy>(const ResolvedParams&,
-                                                   const StrategyEnv&)>
+  /// Makes a fresh instance: estimators may be stateful (the empirical
+  /// family learns from observed departures), so each network gets its own.
+  std::function<std::unique_ptr<Product>(const ResolvedParams&,
+                                         const StrategyEnv&)>
       make;
 };
 
-/// One registered selection strategy.
-struct SelectionDescriptor {
-  std::string name;
-  std::string summary;
-  std::vector<ParamInfo> params;
-  std::function<util::Status(const ResolvedParams&)> check;
-  std::function<std::unique_ptr<SelectionStrategy>(const ResolvedParams&)> make;
+using PolicyDescriptor = StrategyDescriptor<MaintenancePolicy>;
+using SelectionDescriptor = StrategyDescriptor<SelectionStrategy>;
+using EstimatorDescriptor = StrategyDescriptor<LifetimeEstimator>;
+
+/// \brief One strategy family: its label and its constant table.
+template <typename Product>
+struct StrategyFamily {
+  /// "policy", "selection" or "estimator"; labels errors.
+  const char* kind;
+  /// Every strategy, in listing order. The first row is the paper's
+  /// strategy, the one a default-constructed FamilySpec names.
+  std::vector<StrategyDescriptor<Product>> strategies;
 };
 
-/// One registered lifetime estimator. Estimators may be stateful (the
-/// empirical family learns from observed departures), so the factory makes
-/// a fresh instance per network.
-struct EstimatorDescriptor {
-  std::string name;
-  std::string summary;
-  std::vector<ParamInfo> params;
-  std::function<util::Status(const ResolvedParams&)> check;
-  std::function<std::unique_ptr<LifetimeEstimator>(const ResolvedParams&,
-                                                   const StrategyEnv&)>
-      make;
-};
-
-/// Registered descriptors in registration order (built-ins first). The
-/// returned pointers stay valid for the process lifetime.
-std::vector<const PolicyDescriptor*> ListPolicies();
-std::vector<const SelectionDescriptor*> ListSelections();
-std::vector<const EstimatorDescriptor*> ListEstimators();
+/// The family of `Product`s; one per strategy kind.
+template <typename Product>
+const StrategyFamily<Product>& Family();
+template <>
+const StrategyFamily<MaintenancePolicy>& Family();
+template <>
+const StrategyFamily<SelectionStrategy>& Family();
+template <>
+const StrategyFamily<LifetimeEstimator>& Family();
 
 /// Looks a strategy up by exact name; null when unknown.
-const PolicyDescriptor* FindPolicy(const std::string& name);
-const SelectionDescriptor* FindSelection(const std::string& name);
-const EstimatorDescriptor* FindEstimator(const std::string& name);
-
-/// Registers a strategy; aborts on a duplicate name.
-void RegisterPolicy(PolicyDescriptor descriptor);
-void RegisterSelection(SelectionDescriptor descriptor);
-void RegisterEstimator(EstimatorDescriptor descriptor);
+template <typename Product>
+const StrategyDescriptor<Product>* FindStrategy(const std::string& name) {
+  for (const StrategyDescriptor<Product>& d : Family<Product>().strategies) {
+    if (d.name == name) return &d;
+  }
+  return nullptr;
+}
 
 /// Instantiates a validated spec. Errors (unknown name, bad parameters)
 /// name the offending token; a spec that passed Validate() cannot fail.

@@ -112,8 +112,8 @@ util::Status CheckRange(const ParamInfo& info, const ParamValue& value,
   return util::Status::OK();
 }
 
-// Validation shared by policies and selections, driven by the descriptor's
-// parameter table. `kind` labels error messages ("policy" / "selection").
+// Parameter validation against the descriptor's parameter table. `kind`
+// labels error messages ("policy", "selection", "estimator").
 util::Status ValidateAgainst(const StrategySpec& spec,
                              const std::vector<ParamInfo>& infos,
                              const std::string& kind) {
@@ -161,6 +161,18 @@ util::Status CoerceParams(
     }
   }
   return util::Status::OK();
+}
+
+// The row `name` refers to in the family's table.
+template <typename Product>
+util::Result<const StrategyDescriptor<Product>*> Lookup(
+    const std::string& name) {
+  const StrategyDescriptor<Product>* descriptor = FindStrategy<Product>(name);
+  if (descriptor == nullptr) {
+    return util::Status::InvalidArgument(
+        std::string("unknown ") + Family<Product>().kind + ": '" + name + "'");
+  }
+  return descriptor;
 }
 
 }  // namespace
@@ -224,12 +236,17 @@ bool operator==(const StrategySpec& a, const StrategySpec& b) {
   return a.name == b.name && a.params == b.params;
 }
 
-util::Status PolicySpec::Validate() const {
-  const PolicyDescriptor* descriptor = FindPolicy(name);
-  if (descriptor == nullptr) {
-    return util::Status::InvalidArgument("unknown policy: '" + name + "'");
-  }
-  P2P_RETURN_IF_ERROR(ValidateAgainst(*this, descriptor->params, "policy"));
+template <typename Product>
+FamilySpec<Product>::FamilySpec() {
+  name = Family<Product>().strategies.front().name;
+}
+
+template <typename Product>
+util::Status FamilySpec<Product>::Validate() const {
+  P2P_ASSIGN_OR_RETURN(const StrategyDescriptor<Product>* descriptor,
+                       Lookup<Product>(name));
+  P2P_RETURN_IF_ERROR(
+      ValidateAgainst(*this, descriptor->params, Family<Product>().kind));
   if (descriptor->check) {
     P2P_RETURN_IF_ERROR(
         descriptor->check(ResolvedParams(descriptor->params, params, {})));
@@ -237,79 +254,23 @@ util::Status PolicySpec::Validate() const {
   return util::Status::OK();
 }
 
-util::Result<PolicySpec> PolicySpec::Parse(const std::string& text) {
-  PolicySpec spec;
-  spec.name.clear();
+template <typename Product>
+util::Result<FamilySpec<Product>> FamilySpec<Product>::Parse(
+    const std::string& text) {
+  FamilySpec spec;
   std::vector<std::pair<std::string, std::string>> kv;
   P2P_RETURN_IF_ERROR(SplitSpec(text, &spec.name, &kv));
-  const PolicyDescriptor* descriptor = FindPolicy(spec.name);
-  if (descriptor == nullptr) {
-    return util::Status::InvalidArgument("unknown policy: '" + spec.name +
-                                         "'");
-  }
-  P2P_RETURN_IF_ERROR(CoerceParams(spec.name, kv, descriptor->params, "policy",
-                                   &spec.params));
-  P2P_RETURN_IF_ERROR(spec.Validate());
-  return spec;
-}
-
-util::Status SelectionSpec::Validate() const {
-  const SelectionDescriptor* descriptor = FindSelection(name);
-  if (descriptor == nullptr) {
-    return util::Status::InvalidArgument("unknown selection: '" + name + "'");
-  }
-  P2P_RETURN_IF_ERROR(ValidateAgainst(*this, descriptor->params, "selection"));
-  if (descriptor->check) {
-    P2P_RETURN_IF_ERROR(
-        descriptor->check(ResolvedParams(descriptor->params, params, {})));
-  }
-  return util::Status::OK();
-}
-
-util::Result<SelectionSpec> SelectionSpec::Parse(const std::string& text) {
-  SelectionSpec spec;
-  spec.name.clear();
-  std::vector<std::pair<std::string, std::string>> kv;
-  P2P_RETURN_IF_ERROR(SplitSpec(text, &spec.name, &kv));
-  const SelectionDescriptor* descriptor = FindSelection(spec.name);
-  if (descriptor == nullptr) {
-    return util::Status::InvalidArgument("unknown selection: '" + spec.name +
-                                         "'");
-  }
+  P2P_ASSIGN_OR_RETURN(const StrategyDescriptor<Product>* descriptor,
+                       Lookup<Product>(spec.name));
   P2P_RETURN_IF_ERROR(CoerceParams(spec.name, kv, descriptor->params,
-                                   "selection", &spec.params));
+                                   Family<Product>().kind, &spec.params));
   P2P_RETURN_IF_ERROR(spec.Validate());
   return spec;
 }
 
-util::Status EstimatorSpec::Validate() const {
-  const EstimatorDescriptor* descriptor = FindEstimator(name);
-  if (descriptor == nullptr) {
-    return util::Status::InvalidArgument("unknown estimator: '" + name + "'");
-  }
-  P2P_RETURN_IF_ERROR(ValidateAgainst(*this, descriptor->params, "estimator"));
-  if (descriptor->check) {
-    P2P_RETURN_IF_ERROR(
-        descriptor->check(ResolvedParams(descriptor->params, params, {})));
-  }
-  return util::Status::OK();
-}
-
-util::Result<EstimatorSpec> EstimatorSpec::Parse(const std::string& text) {
-  EstimatorSpec spec;
-  spec.name.clear();
-  std::vector<std::pair<std::string, std::string>> kv;
-  P2P_RETURN_IF_ERROR(SplitSpec(text, &spec.name, &kv));
-  const EstimatorDescriptor* descriptor = FindEstimator(spec.name);
-  if (descriptor == nullptr) {
-    return util::Status::InvalidArgument("unknown estimator: '" + spec.name +
-                                         "'");
-  }
-  P2P_RETURN_IF_ERROR(CoerceParams(spec.name, kv, descriptor->params,
-                                   "estimator", &spec.params));
-  P2P_RETURN_IF_ERROR(spec.Validate());
-  return spec;
-}
+template struct FamilySpec<MaintenancePolicy>;
+template struct FamilySpec<SelectionStrategy>;
+template struct FamilySpec<LifetimeEstimator>;
 
 }  // namespace core
 }  // namespace p2p

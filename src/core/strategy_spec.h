@@ -1,5 +1,5 @@
-// Declarative strategy specifications: a registry-backed strategy name plus
-// a typed parameter map.
+// Declarative strategy specifications: a strategy name from one family's
+// table plus a typed parameter map.
 //
 // Maintenance policies and selection strategies used to be closed enums
 // (core::PolicyKind / core::SelectionKind), hard-coded at construction and
@@ -11,7 +11,7 @@
 //   weighted-random{age_exponent=2}
 //
 // The spec grammar is `name` or `name{key=value,...}`. Parsing is
-// type-directed against the strategy registry (strategy_registry.h): unknown
+// type-directed against the family's table (strategy_registry.h): unknown
 // strategy names, unknown parameters, type mismatches, and out-of-range
 // values are all util::Result errors naming the offending token - never a
 // silent fallback. Render is canonical (parameters in name order, shortest
@@ -68,7 +68,7 @@ inline bool operator!=(const ParamValue& a, const ParamValue& b) {
 /// render order is deterministic.
 using ParamMap = std::map<std::string, ParamValue>;
 
-/// \brief A strategy reference: registry name + explicit parameters.
+/// \brief A strategy reference: table row name + explicit parameters.
 struct StrategySpec {
   std::string name;
   ParamMap params;
@@ -82,44 +82,40 @@ inline bool operator!=(const StrategySpec& a, const StrategySpec& b) {
   return !(a == b);
 }
 
-/// \brief A maintenance-policy spec; defaults to the paper's fixed
-/// threshold with no explicit parameters (the threshold then follows
-/// SystemOptions::repair_threshold).
-struct PolicySpec : StrategySpec {
-  PolicySpec() { name = "fixed-threshold"; }
+class MaintenancePolicy;
+class SelectionStrategy;
+class LifetimeEstimator;
 
-  /// Checks the name against the policy registry and every parameter for
+/// \brief A spec of the strategy family whose instances are `Product`s,
+/// checked against that family's table (strategy_registry.h). A
+/// default-constructed spec names the family's first table row - the
+/// paper's strategy - with no explicit parameters.
+template <typename Product>
+struct FamilySpec : StrategySpec {
+  FamilySpec();
+
+  /// Checks the name against the family's table and every parameter for
   /// existence, type, range, and cross-parameter consistency. Errors name
   /// the offending token.
   util::Status Validate() const;
 
-  /// Parses the spec grammar against the policy registry (type-directed:
+  /// Parses the spec grammar against the family's table (type-directed:
   /// values are coerced to the declared parameter types) and validates.
-  static util::Result<PolicySpec> Parse(const std::string& text);
+  static util::Result<FamilySpec> Parse(const std::string& text);
 };
 
-/// \brief A selection-strategy spec; defaults to the paper's oldest-first.
-struct SelectionSpec : StrategySpec {
-  SelectionSpec() { name = "oldest-first"; }
+extern template struct FamilySpec<MaintenancePolicy>;
+extern template struct FamilySpec<SelectionStrategy>;
+extern template struct FamilySpec<LifetimeEstimator>;
 
-  /// See PolicySpec::Validate().
-  util::Status Validate() const;
-
-  /// See PolicySpec::Parse().
-  static util::Result<SelectionSpec> Parse(const std::string& text);
-};
-
-/// \brief A lifetime-estimator spec; defaults to the paper's age rank (its
-/// horizon then follows SystemOptions::acceptance_horizon).
-struct EstimatorSpec : StrategySpec {
-  EstimatorSpec() { name = "age-rank"; }
-
-  /// See PolicySpec::Validate().
-  util::Status Validate() const;
-
-  /// See PolicySpec::Parse().
-  static util::Result<EstimatorSpec> Parse(const std::string& text);
-};
+/// Maintenance policy; defaults to the paper's fixed threshold (the
+/// threshold then follows SystemOptions::repair_threshold).
+using PolicySpec = FamilySpec<MaintenancePolicy>;
+/// Selection strategy; defaults to the paper's oldest-first.
+using SelectionSpec = FamilySpec<SelectionStrategy>;
+/// Lifetime estimator; defaults to the paper's age rank (its horizon then
+/// follows SystemOptions::acceptance_horizon).
+using EstimatorSpec = FamilySpec<LifetimeEstimator>;
 
 }  // namespace core
 }  // namespace p2p

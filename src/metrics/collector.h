@@ -2,12 +2,14 @@
 // typed events into a Collector (repair started, archive lost, block
 // uploaded, departure, timeout, partnership severed, repair flag raised /
 // cleared, round tick) instead of bumping bespoke counters, and the
-// collector owns every accumulator behind the registered probes
+// collector owns every accumulator behind the metric table
 // (metrics/registry.h): the per-category accounting, the observer results,
 // the daily category series, and the probe state the closed pre-registry
 // structs could not express (repair bandwidth, time-to-repair, partnership
-// lifetimes, vulnerability time). BuildReport() distills it all into a
-// generic RunReport keyed by the registry.
+// lifetimes, vulnerability time). BuildReport() distills it all into
+// ProbeValues and emits one RunReport entry per table row, each read from
+// the ProbeValues field its row names - so every listed metric is collected
+// by construction.
 //
 // Collecting is unconditional and cheap (counter bumps and O(1) vector
 // writes); metric *selection* is a rendering concern of the report layer,
@@ -48,6 +50,21 @@ struct CategorySample {
   std::array<int64_t, kCategoryCount> cumulative_losses{};
   std::array<int64_t, kCategoryCount> cumulative_repairs{};
   std::array<double, kCategoryCount> mean_population{};
+};
+
+/// Everything BuildReport distills from the accumulators; each metric table
+/// row (metrics/registry.h) names the field that carries its value.
+struct ProbeValues {
+  double repairs = 0, losses = 0, blocks_uploaded = 0, departures = 0,
+         timeouts = 0;
+  double repair_bandwidth = 0, time_to_repair_mean = 0, time_to_repair_p99 = 0,
+         partnership_lifetime_mean = 0, vulnerability_rounds = 0,
+         final_population = 0;
+  double time_to_backup_mean = 0, time_to_backup_p99 = 0,
+         time_to_restore_mean = 0, time_to_restore_p99 = 0,
+         data_loss_window = 0, uplink_utilization = 0;
+  std::array<double, kCategoryCount> repairs_1k{}, losses_1k{}, cum_repairs{},
+      cum_losses{}, mean_population{};
 };
 
 /// \brief Owns all result state of one run; fed by BackupNetwork.
@@ -122,16 +139,11 @@ class Collector {
   }
   /// @}
 
-  /// Distills every registered probe this collector feeds into a RunReport
-  /// (one entry per registered metric, registration order). `end_round` is
-  /// the number of simulated rounds; it normalizes the bandwidth rate and
-  /// truncates still-open vulnerability episodes.
+  /// Distills every probe into a RunReport: one entry per metric table row,
+  /// in table order. `end_round` is the number of simulated rounds; it
+  /// normalizes the bandwidth rate and truncates still-open vulnerability
+  /// episodes.
   RunReport BuildReport(sim::Round end_round) const;
-
-  /// True when this collector measures the named probe (i.e. BuildReport
-  /// will emit it). Registration alone does not make a metric selectable:
-  /// a probe needs the collector hook that feeds it.
-  static bool FeedsMetric(const std::string& name);
 
  private:
   sim::Round sample_interval_;
@@ -176,14 +188,6 @@ class Collector {
   int64_t bandwidth_sampled_uploads_ = 0;
   sim::Round bandwidth_sampled_at_ = -1;
 };
-
-/// Resolves a selection (registry resolution plus the collectability check):
-/// empty means the default set; errors name unknown, duplicate, and
-/// registered-but-uncollected tokens. This is what run/sweep validation and
-/// the report layer use, so a selection naming a metric no collector feeds
-/// fails up front with a Status instead of aborting after the runs.
-util::Result<std::vector<const MetricDescriptor*>> ResolveCollectedSelection(
-    const std::vector<std::string>& names);
 
 }  // namespace metrics
 }  // namespace p2p

@@ -1,168 +1,114 @@
 #include "metrics/registry.h"
 
-#include <deque>
-#include <mutex>
 #include <set>
 
-#include "util/logging.h"
+#include "metrics/collector.h"
 
 namespace p2p {
 namespace metrics {
 namespace {
 
-// Stable-address storage (deque) so ListMetrics/FindMetric pointers stay
-// valid across later registrations.
-struct Registry {
-  std::mutex mutex;
-  std::deque<MetricDescriptor> metrics;
-};
+constexpr auto kCount = MetricKind::kCount;
+constexpr auto kReal = MetricKind::kReal;
+constexpr auto kNone = MetricAggregation::kNone;
+constexpr auto kMoments = MetricAggregation::kMoments;
 
-MetricDescriptor Make(const std::string& name, const std::string& unit,
-                      const std::string& help, bool per_category,
-                      MetricKind kind, MetricAggregation aggregation,
-                      bool default_selected) {
-  MetricDescriptor d;
-  d.name = name;
-  d.unit = unit;
-  d.help = help;
-  d.per_category = per_category;
-  d.kind = kind;
-  d.aggregation = aggregation;
-  d.default_selected = default_selected;
-  return d;
-}
+// The default set, in this exact order, IS the historical emitter layout:
+// the sweep goldens lock its CSV/JSON bytes. blocks_uploaded / departures /
+// timeouts carry kNone because the historical aggregate tables never
+// included them; that is a recorded fact about the layout, not a law - a new
+// row is free to choose kMoments.
+const std::vector<MetricDescriptor>& Table() {
+  using P = ProbeValues;
+  static const std::vector<MetricDescriptor> table{
+      {"repairs", "ops",
+       "repair operations triggered (initial placements included)",
+       &P::repairs, nullptr, kCount, kMoments, true},
+      {"losses", "archives", "archives lost (alive blocks fell below k)",
+       &P::losses, nullptr, kCount, kMoments, true},
+      {"blocks_uploaded", "blocks", "blocks re-placed by repairs",
+       &P::blocks_uploaded, nullptr, kCount, kNone, true},
+      {"departures", "peers", "definitive departures", &P::departures,
+       nullptr, kCount, kNone, true},
+      {"timeouts", "partnerships", "partnerships severed by the timeout rule",
+       &P::timeouts, nullptr, kCount, kNone, true},
+      {"repairs_1k_day", "ops/1000 peers/day",
+       "repair rate by age category (figure 1)", nullptr, &P::repairs_1k,
+       kReal, kMoments, true},
+      {"losses_1k_day", "archives/1000 peers/day",
+       "loss rate by age category (figure 2)", nullptr, &P::losses_1k, kReal,
+       kMoments, true},
 
-void RegisterBuiltinsLocked(Registry* r) {
-  // The default set, in this exact order, IS the historical emitter layout:
-  // the sweep goldens lock its CSV/JSON bytes. blocks_uploaded / departures
-  // / timeouts carry kNone because the historical aggregate tables never
-  // included them; that is a recorded fact about the layout, not a law - a
-  // new registration is free to choose kMoments.
-  r->metrics.push_back(Make(
-      "repairs", "ops", "repair operations triggered (initial placements "
-      "included)", false, MetricKind::kCount, MetricAggregation::kMoments,
-      true));
-  r->metrics.push_back(Make(
-      "losses", "archives", "archives lost (alive blocks fell below k)",
-      false, MetricKind::kCount, MetricAggregation::kMoments, true));
-  r->metrics.push_back(Make(
-      "blocks_uploaded", "blocks", "blocks re-placed by repairs", false,
-      MetricKind::kCount, MetricAggregation::kNone, true));
-  r->metrics.push_back(Make(
-      "departures", "peers", "definitive departures", false,
-      MetricKind::kCount, MetricAggregation::kNone, true));
-  r->metrics.push_back(Make(
-      "timeouts", "partnerships", "partnerships severed by the timeout rule",
-      false, MetricKind::kCount, MetricAggregation::kNone, true));
-  r->metrics.push_back(Make(
-      "repairs_1k_day", "ops/1000 peers/day", "repair rate by age category "
-      "(figure 1)", true, MetricKind::kReal, MetricAggregation::kMoments,
-      true));
-  r->metrics.push_back(Make(
-      "losses_1k_day", "archives/1000 peers/day", "loss rate by age category "
-      "(figure 2)", true, MetricKind::kReal, MetricAggregation::kMoments,
-      true));
+      // --- probes the closed pre-registry structs could not express ---
+      {"repair_bandwidth", "blocks/day",
+       "mean maintenance bandwidth: blocks uploaded per day over the run",
+       &P::repair_bandwidth, nullptr, kReal, kMoments, false},
+      {"time_to_repair_mean", "rounds",
+       "mean rounds from repair flag to episode completion",
+       &P::time_to_repair_mean, nullptr, kReal, kMoments, false},
+      {"time_to_repair_p99", "rounds",
+       "99th percentile of rounds from repair flag to episode completion",
+       &P::time_to_repair_p99, nullptr, kReal, kMoments, false},
+      {"partnership_lifetime_mean", "rounds",
+       "mean lifetime of severed partnerships",
+       &P::partnership_lifetime_mean, nullptr, kReal, kMoments, false},
+      {"vulnerability_rounds", "peer-rounds",
+       "total rounds peers spent flagged below the repair trigger (open "
+       "episodes truncated at the end of the run)",
+       &P::vulnerability_rounds, nullptr, kCount, kMoments, false},
+      {"cum_repairs", "ops", "cumulative repairs by age category", nullptr,
+       &P::cum_repairs, kCount, kMoments, false},
+      {"cum_losses", "archives", "cumulative losses by age category", nullptr,
+       &P::cum_losses, kCount, kMoments, false},
+      {"mean_population", "peers", "mean category population over the run",
+       nullptr, &P::mean_population, kReal, kMoments, false},
+      {"final_population", "peers", "live peers when the run ended",
+       &P::final_population, nullptr, kCount, kMoments, false},
 
-  // --- probes the closed pre-registry structs could not express ---
-  r->metrics.push_back(Make(
-      "repair_bandwidth", "blocks/day", "mean maintenance bandwidth: blocks "
-      "uploaded per day over the run", false, MetricKind::kReal,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "time_to_repair_mean", "rounds", "mean rounds from repair flag to "
-      "episode completion", false, MetricKind::kReal,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "time_to_repair_p99", "rounds", "99th percentile of rounds from repair "
-      "flag to episode completion", false, MetricKind::kReal,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "partnership_lifetime_mean", "rounds", "mean lifetime of severed "
-      "partnerships", false, MetricKind::kReal, MetricAggregation::kMoments,
-      false));
-  r->metrics.push_back(Make(
-      "vulnerability_rounds", "peer-rounds", "total rounds peers spent "
-      "flagged below the repair trigger (open episodes truncated at the end "
-      "of the run)", false, MetricKind::kCount, MetricAggregation::kMoments,
-      false));
-  r->metrics.push_back(Make(
-      "cum_repairs", "ops", "cumulative repairs by age category", true,
-      MetricKind::kCount, MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "cum_losses", "archives", "cumulative losses by age category", true,
-      MetricKind::kCount, MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "mean_population", "peers", "mean category population over the run",
-      true, MetricKind::kReal, MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "final_population", "peers", "live peers when the run ended", false,
-      MetricKind::kCount, MetricAggregation::kMoments, false));
-
-  // --- transfer-scheduling probes (bandwidth-constrained repairs) ---
-  r->metrics.push_back(Make(
-      "time_to_backup_mean", "rounds", "mean rounds from repair flag to "
-      "completed initial placement (transfer time included when the "
-      "scheduler is enabled)", false, MetricKind::kReal,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "time_to_backup_p99", "rounds", "99th percentile of rounds from repair "
-      "flag to completed initial placement", false, MetricKind::kReal,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "time_to_restore_mean", "rounds", "mean rounds a maintenance repair "
-      "spent downloading the k blocks needed to decode (the restore path)",
-      false, MetricKind::kReal, MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "time_to_restore_p99", "rounds", "99th percentile of the restore-path "
-      "download rounds", false, MetricKind::kReal,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "data_loss_window", "rounds", "longest single vulnerability episode: "
-      "max rounds any peer spent flagged below the repair trigger (open "
-      "episodes truncated at the end of the run)", false, MetricKind::kCount,
-      MetricAggregation::kMoments, false));
-  r->metrics.push_back(Make(
-      "uplink_utilization", "fraction", "uplink bytes moved over uplink "
-      "bytes available, summed over rounds with transfer demand", false,
-      MetricKind::kReal, MetricAggregation::kMoments, false));
-}
-
-Registry& GlobalRegistry() {
-  static Registry* registry = [] {
-    auto* r = new Registry();
-    RegisterBuiltinsLocked(r);
-    return r;
-  }();
-  return *registry;
+      // --- transfer-scheduling probes (bandwidth-constrained repairs) ---
+      {"time_to_backup_mean", "rounds",
+       "mean rounds from repair flag to completed initial placement "
+       "(transfer time included when the scheduler is enabled)",
+       &P::time_to_backup_mean, nullptr, kReal, kMoments, false},
+      {"time_to_backup_p99", "rounds",
+       "99th percentile of rounds from repair flag to completed initial "
+       "placement",
+       &P::time_to_backup_p99, nullptr, kReal, kMoments, false},
+      {"time_to_restore_mean", "rounds",
+       "mean rounds a maintenance repair spent downloading the k blocks "
+       "needed to decode (the restore path)",
+       &P::time_to_restore_mean, nullptr, kReal, kMoments, false},
+      {"time_to_restore_p99", "rounds",
+       "99th percentile of the restore-path download rounds",
+       &P::time_to_restore_p99, nullptr, kReal, kMoments, false},
+      {"data_loss_window", "rounds",
+       "longest single vulnerability episode: max rounds any peer spent "
+       "flagged below the repair trigger (open episodes truncated at the end "
+       "of the run)",
+       &P::data_loss_window, nullptr, kCount, kMoments, false},
+      {"uplink_utilization", "fraction",
+       "uplink bytes moved over uplink bytes available, summed over rounds "
+       "with transfer demand",
+       &P::uplink_utilization, nullptr, kReal, kMoments, false},
+  };
+  return table;
 }
 
 }  // namespace
 
 std::vector<const MetricDescriptor*> ListMetrics() {
-  Registry& r = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(r.mutex);
+  const std::vector<MetricDescriptor>& table = Table();
   std::vector<const MetricDescriptor*> out;
-  out.reserve(r.metrics.size());
-  for (const MetricDescriptor& d : r.metrics) out.push_back(&d);
+  out.reserve(table.size());
+  for (const MetricDescriptor& d : table) out.push_back(&d);
   return out;
 }
 
 const MetricDescriptor* FindMetric(const std::string& name) {
-  Registry& r = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const MetricDescriptor& d : r.metrics) {
+  for (const MetricDescriptor& d : Table()) {
     if (d.name == name) return &d;
   }
   return nullptr;
-}
-
-void RegisterMetric(MetricDescriptor descriptor) {
-  Registry& r = GlobalRegistry();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  for (const MetricDescriptor& d : r.metrics) {
-    P2P_CHECK(d.name != descriptor.name);  // duplicate registration
-  }
-  r.metrics.push_back(std::move(descriptor));
 }
 
 std::vector<std::string> DefaultMetricNames() {

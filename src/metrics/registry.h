@@ -1,24 +1,23 @@
-// The metric registry: the set of named probes a run can report, each
-// described declaratively (unit, shape, rendering kind, aggregation) in the
-// style of the strategy registries (core/strategy_registry.h).
+// The metric table: the named probes a run can report, each described
+// declaratively (unit, shape, rendering kind, aggregation) in the style of
+// the strategy tables (core/strategy_registry.h).
 //
 // Every report column of the results pipeline - scenario::Outcome's
 // RunReport, sweep CSV/JSON columns, replicate moments, util::Table
 // rendering - is derived from these descriptors rather than enumerated by
-// hand, so a new measurement is one registration plus the collector hook
-// that feeds it, not a four-layer struct edit.
-//
-// Built-ins register themselves on first access; RegisterMetric adds further
-// probes (call before any concurrent sweep starts - registration is
-// mutex-guarded, but a metric must be registered before a selection naming
-// it is resolved). `scenario_tool metrics` lists everything here.
+// hand, so a new measurement is one table row (naming the ProbeValues field
+// that carries it) plus the collector hook that feeds that field, not a
+// four-layer struct edit. The table is constant; `scenario_tool metrics`
+// lists it.
 
 #ifndef P2P_METRICS_REGISTRY_H_
 #define P2P_METRICS_REGISTRY_H_
 
+#include <array>
 #include <string>
 #include <vector>
 
+#include "metrics/categories.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -41,7 +40,11 @@ enum class MetricAggregation {
   kMoments,
 };
 
-/// One registered probe.
+/// Every value Collector::BuildReport distills (collector.h); each metric
+/// row names the field that carries it.
+struct ProbeValues;
+
+/// One row of the metric table.
 struct MetricDescriptor {
   /// Stable token; the CSV/JSON column name (per-category metrics expand to
   /// one column per category, suffixed `_<category token>`).
@@ -50,8 +53,11 @@ struct MetricDescriptor {
   std::string unit;
   /// One-line description (`scenario_tool metrics`).
   std::string help;
-  /// True: the value is one scalar per age category (4 columns).
-  bool per_category = false;
+  /// The ProbeValues field carrying the value; exactly one is set. A set
+  /// `per_category` makes the metric one scalar per age category (4
+  /// columns), so `if (d->per_category)` tests the shape.
+  double ProbeValues::*scalar = nullptr;
+  std::array<double, kCategoryCount> ProbeValues::*per_category = nullptr;
   MetricKind kind = MetricKind::kCount;
   MetricAggregation aggregation = MetricAggregation::kNone;
   /// Member of the default selection - the exact column set (and order) of
@@ -59,17 +65,14 @@ struct MetricDescriptor {
   bool default_selected = false;
 };
 
-/// Registered descriptors in registration order (built-ins first). The
-/// returned pointers stay valid for the process lifetime.
+/// The table's rows in table order. The pointers stay valid for the
+/// process lifetime.
 std::vector<const MetricDescriptor*> ListMetrics();
 
 /// Looks a metric up by exact name; null when unknown.
 const MetricDescriptor* FindMetric(const std::string& name);
 
-/// Registers a probe; aborts on a duplicate name.
-void RegisterMetric(MetricDescriptor descriptor);
-
-/// Names of the default selection, in registration order.
+/// Names of the default selection, in table order.
 std::vector<std::string> DefaultMetricNames();
 
 /// Resolves a selection to descriptors: empty means the default set; errors

@@ -1,5 +1,5 @@
 // The generic result surface of one simulation run: an ordered map from
-// registered metric names to scalars, per-category vectors, and time
+// metric table names to scalars, per-category vectors, and time
 // series. Replaces the closed per-layer result structs (RunTotals, the
 // fixed arrays of the old scenario::Outcome, the hand-enumerated sweep
 // columns): every consumer - sweep CSV/JSON, replicate moments, tables,
@@ -37,7 +37,7 @@ struct MetricSeries {
 };
 
 /// \brief Ordered name -> scalar/series map; built by Collector::BuildReport
-/// with one entry per registered metric, in registration order.
+/// with one entry per metric table row, in table order.
 class RunReport {
  public:
   /// \name Construction (Collector and tests).
@@ -48,9 +48,9 @@ class RunReport {
   void AddSeries(const MetricDescriptor* descriptor, TimeSeries series);
   /// @}
 
-  /// Entries in registration order.
+  /// Entries in table order.
   const std::vector<MetricValue>& values() const { return values_; }
-  /// Series entries in registration order.
+  /// Series entries in table order.
   const std::vector<MetricSeries>& series() const { return series_; }
 
   /// Entry by metric name; null when the report has no such entry.

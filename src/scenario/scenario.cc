@@ -15,10 +15,7 @@ util::Status Scenario::Validate() const {
     return util::Status::InvalidArgument("rounds must be >= 1, got " +
                                          std::to_string(rounds));
   }
-  if (auto selection = metrics::ResolveCollectedSelection(metrics);
-      !selection.ok()) {
-    return selection.status();
-  }
+  P2P_RETURN_IF_ERROR(metrics::ResolveMetricSelection(metrics).status());
   P2P_RETURN_IF_ERROR(population.Validate());
   backup::SystemOptions resolved = options;
   resolved.num_peers = peers;

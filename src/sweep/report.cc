@@ -58,16 +58,11 @@ std::string CategoryColumn(const metrics::MetricDescriptor& d, int c) {
          metrics::CategoryToken(static_cast<metrics::AgeCategory>(c));
 }
 
-// The cell's value for a selected metric; aborts (via checked lookup) when
-// the cell's report does not carry it - a metric was registered without a
-// collector hook feeding it.
+// The cell's value for a selected metric. Every collector report carries
+// every metric table row, so a miss is a bug in the caller.
 const metrics::MetricValue& ValueOf(const CellRow& row,
                                     const metrics::MetricDescriptor& d) {
   const metrics::MetricValue* v = row.report.Find(d.name);
-  if (v == nullptr) {
-    P2P_LOG_ERROR("cell %zu's report carries no metric '%s' (registered but "
-                  "not collected?)", row.index, d.name.c_str());
-  }
   P2P_CHECK(v != nullptr);
   return *v;
 }
@@ -97,7 +92,7 @@ SweepReport SweepReport::Build(const SweepSpec& spec,
                                const std::vector<CellResult>& results) {
   SweepReport report;
   report.axes_ = spec.ActiveAxes();
-  auto selection = metrics::ResolveCollectedSelection(
+  auto selection = metrics::ResolveMetricSelection(
       spec.metrics.empty() ? spec.base.metrics : spec.metrics);
   if (!selection.ok()) {
     P2P_LOG_ERROR("sweep metric selection: %s",

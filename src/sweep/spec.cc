@@ -1,6 +1,6 @@
 #include "sweep/spec.h"
 
-#include "metrics/collector.h"
+#include "metrics/registry.h"
 #include "util/rng.h"
 
 namespace p2p {
@@ -36,15 +36,16 @@ util::Result<std::vector<Scenario>> ResolveWorlds(
   return worlds;
 }
 
-// Resolves the policy axis to parsed specs; errors name the axis and token.
-util::Result<std::vector<core::PolicySpec>> ResolvePolicies(
-    const std::vector<std::string>& tokens) {
-  std::vector<core::PolicySpec> specs;
+// Resolves a strategy axis to parsed specs; errors name the axis and token.
+template <typename Spec>
+util::Result<std::vector<Spec>> ResolveStrategies(
+    const std::vector<std::string>& tokens, const std::string& axis) {
+  std::vector<Spec> specs;
   specs.reserve(tokens.size());
   for (const std::string& token : tokens) {
-    util::Result<core::PolicySpec> parsed = core::PolicySpec::Parse(token);
+    util::Result<Spec> parsed = Spec::Parse(token);
     if (!parsed.ok()) {
-      return util::Status::InvalidArgument("policy axis: " +
+      return util::Status::InvalidArgument(axis + " axis: " +
                                            parsed.status().message());
     }
     specs.push_back(std::move(*parsed));
@@ -52,48 +53,17 @@ util::Result<std::vector<core::PolicySpec>> ResolvePolicies(
   return specs;
 }
 
-util::Result<std::vector<core::SelectionSpec>> ResolveSelections(
-    const std::vector<std::string>& tokens) {
-  std::vector<core::SelectionSpec> specs;
-  specs.reserve(tokens.size());
-  for (const std::string& token : tokens) {
-    util::Result<core::SelectionSpec> parsed =
-        core::SelectionSpec::Parse(token);
-    if (!parsed.ok()) {
-      return util::Status::InvalidArgument("selection axis: " +
-                                           parsed.status().message());
-    }
-    specs.push_back(std::move(*parsed));
-  }
-  return specs;
-}
-
-util::Result<std::vector<core::EstimatorSpec>> ResolveEstimators(
-    const std::vector<std::string>& tokens) {
-  std::vector<core::EstimatorSpec> specs;
-  specs.reserve(tokens.size());
-  for (const std::string& token : tokens) {
-    util::Result<core::EstimatorSpec> parsed =
-        core::EstimatorSpec::Parse(token);
-    if (!parsed.ok()) {
-      return util::Status::InvalidArgument("estimator axis: " +
-                                           parsed.status().message());
-    }
-    specs.push_back(std::move(*parsed));
-  }
-  return specs;
-}
-
-// Everything Validate() checks, given the already-resolved scenario axis
-// (shared with Expand() so the axis is resolved - and any files parsed -
-// exactly once per expansion).
+// Everything Validate() checks, given the already-resolved scenario and
+// policy axes (shared with Expand() so each axis is resolved - and any files
+// parsed - exactly once per expansion).
 util::Status ValidateResolved(const SweepSpec& spec,
-                              const std::vector<Scenario>& worlds) {
+                              const std::vector<Scenario>& worlds,
+                              const std::vector<core::PolicySpec>& policies) {
   if (spec.replicates < 1) {
     return util::Status::InvalidArgument("replicates must be >= 1, got " +
                                          std::to_string(spec.replicates));
   }
-  if (auto selection = metrics::ResolveCollectedSelection(spec.metrics);
+  if (auto selection = metrics::ResolveMetricSelection(spec.metrics);
       !selection.ok()) {
     return util::Status::InvalidArgument("metrics list: " +
                                          selection.status().message());
@@ -112,6 +82,14 @@ util::Status ValidateResolved(const SweepSpec& spec,
     backup::SystemOptions cell = opts;
     cell.quota_blocks = q;
     P2P_RETURN_IF_ERROR(cell.Validate());
+  }
+  // A policy's explicit threshold must fit the base code geometry.
+  for (const core::PolicySpec& policy : policies) {
+    backup::SystemOptions cell = opts;
+    cell.policy = policy;
+    if (util::Status st = cell.Validate(); !st.ok()) {
+      return util::Status::InvalidArgument("policy axis: " + st.message());
+    }
   }
   for (const std::string& link : spec.links) {
     backup::SystemOptions cell = opts;
@@ -141,12 +119,18 @@ uint64_t ReplicateSeed(uint64_t base_seed, uint64_t replicate) {
 std::string Cell::Label() const { return JoinCoords(coords); }
 
 util::Status SweepSpec::Validate() const {
-  util::Result<std::vector<Scenario>> worlds = ResolveWorlds(scenarios);
-  if (!worlds.ok()) return worlds.status();
-  if (auto p = ResolvePolicies(policies); !p.ok()) return p.status();
-  if (auto s = ResolveSelections(selections); !s.ok()) return s.status();
-  if (auto e = ResolveEstimators(estimators); !e.ok()) return e.status();
-  return ValidateResolved(*this, *worlds);
+  P2P_ASSIGN_OR_RETURN(const std::vector<Scenario> worlds,
+                       ResolveWorlds(scenarios));
+  P2P_ASSIGN_OR_RETURN(
+      const std::vector<core::PolicySpec> policy_specs,
+      ResolveStrategies<core::PolicySpec>(policies, "policy"));
+  P2P_RETURN_IF_ERROR(
+      ResolveStrategies<core::SelectionSpec>(selections, "selection")
+          .status());
+  P2P_RETURN_IF_ERROR(
+      ResolveStrategies<core::EstimatorSpec>(estimators, "estimator")
+          .status());
+  return ValidateResolved(*this, worlds, policy_specs);
 }
 
 size_t SweepSpec::GroupCount() const {
@@ -178,13 +162,16 @@ std::vector<std::string> SweepSpec::ActiveAxes() const {
 util::Result<std::vector<Cell>> SweepSpec::Expand() const {
   P2P_ASSIGN_OR_RETURN(const std::vector<Scenario> worlds,
                        ResolveWorlds(scenarios));
-  P2P_ASSIGN_OR_RETURN(const std::vector<core::PolicySpec> policy_specs,
-                       ResolvePolicies(policies));
-  P2P_ASSIGN_OR_RETURN(const std::vector<core::SelectionSpec> selection_specs,
-                       ResolveSelections(selections));
-  P2P_ASSIGN_OR_RETURN(const std::vector<core::EstimatorSpec> estimator_specs,
-                       ResolveEstimators(estimators));
-  P2P_RETURN_IF_ERROR(ValidateResolved(*this, worlds));
+  P2P_ASSIGN_OR_RETURN(
+      const std::vector<core::PolicySpec> policy_specs,
+      ResolveStrategies<core::PolicySpec>(policies, "policy"));
+  P2P_ASSIGN_OR_RETURN(
+      const std::vector<core::SelectionSpec> selection_specs,
+      ResolveStrategies<core::SelectionSpec>(selections, "selection"));
+  P2P_ASSIGN_OR_RETURN(
+      const std::vector<core::EstimatorSpec> estimator_specs,
+      ResolveStrategies<core::EstimatorSpec>(estimators, "estimator"));
+  P2P_RETURN_IF_ERROR(ValidateResolved(*this, worlds, policy_specs));
 
   std::vector<Cell> cells;
   cells.reserve(CellCount());

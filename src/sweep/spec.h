@@ -70,9 +70,10 @@ struct SweepSpec {
   std::vector<int> repair_thresholds;
   std::vector<int> quotas;
   /// Policy axis: each value is a strategy-spec string parsed against the
-  /// registry ("fixed-threshold{threshold=140}", "adaptive-redundancy", ...).
-  /// Unknown names or bad parameters fail Validate()/Expand() with an error
-  /// naming the token; coordinates carry the canonical spec form.
+  /// policy table ("fixed-threshold{threshold=140}", "adaptive-redundancy",
+  /// ...). Unknown names, bad parameters, or an explicit threshold outside
+  /// the base [k, k + m] fail Validate()/Expand() with an error naming the
+  /// token; coordinates carry the canonical spec form.
   std::vector<std::string> policies;
   /// Selection axis; spec strings like "weighted-random{age_exponent=2}".
   std::vector<std::string> selections;

@@ -171,10 +171,6 @@ class Rng {
     }
   }
 
-  /// Draws `count` distinct indices uniformly from [0, universe); `count` is
-  /// clamped to `universe`. Order of the returned indices is random.
-  std::vector<uint32_t> SampleIndices(uint32_t universe, uint32_t count);
-
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -561,56 +561,6 @@ TEST(StrategySpecTest, FactoryWiresContextualThreshold) {
   EXPECT_TRUE((*proactive)->Evaluate(Ctx(139)).trigger);
 }
 
-TEST(StrategySpecTest, RegistryIsOpenForExtension) {
-  // Registering a new policy makes it parseable, listable, and runnable -
-  // the whole point of replacing the closed enums.
-  if (FindPolicy("test-always-repair") == nullptr) {
-    PolicyDescriptor d;
-    d.name = "test-always-repair";
-    d.summary = "test fixture";
-    d.params = {[] {
-      ParamInfo info;
-      info.name = "restore_to";
-      info.type = ParamType::kInt;
-      info.def = ParamValue::Int(200);
-      info.min_value = 1;
-      info.max_value = 4096;
-      info.help = "fixed restore level";
-      return info;
-    }()};
-    d.make = [](const ResolvedParams& p, const StrategyEnv&) {
-      class AlwaysRepair : public MaintenancePolicy {
-       public:
-        explicit AlwaysRepair(int restore_to) : restore_to_(restore_to) {}
-        MaintenanceDecision Evaluate(const MaintenanceContext&) const override {
-          return {true, restore_to_};
-        }
-        int FlagLevel(int, int n) const override { return n + 1; }
-        std::string name() const override { return "test-always-repair"; }
-
-       private:
-        int restore_to_;
-      };
-      return std::unique_ptr<MaintenancePolicy>(
-          new AlwaysRepair(static_cast<int>(p.Int("restore_to"))));
-    };
-    RegisterPolicy(std::move(d));
-  }
-
-  auto spec = PolicySpec::Parse("test-always-repair{restore_to=180}");
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  auto policy = MakePolicy(*spec, StrategyEnv{});
-  ASSERT_TRUE(policy.ok());
-  EXPECT_TRUE((*policy)->Evaluate(Ctx(255)).trigger);
-  EXPECT_EQ((*policy)->Evaluate(Ctx(255)).restore_to, 180);
-
-  bool listed = false;
-  for (const PolicyDescriptor* d : ListPolicies()) {
-    listed = listed || d->name == "test-always-repair";
-  }
-  EXPECT_TRUE(listed);
-}
-
 // --- Estimator specs: grammar, registry, contextual defaults ---
 
 TEST(EstimatorSpecTest, ParseRenderRoundTrips) {
@@ -690,40 +640,6 @@ TEST(EstimatorSpecTest, FactoryWiresContextualHorizon) {
             (*overridden)->StabilityScore(Obs(499)));
   EXPECT_DOUBLE_EQ((*overridden)->StabilityScore(Obs(500)),
                    (*overridden)->StabilityScore(Obs(5000)));
-}
-
-TEST(EstimatorSpecTest, RegistryIsOpenForExtension) {
-  if (FindEstimator("test-coin-flip") == nullptr) {
-    EstimatorDescriptor d;
-    d.name = "test-coin-flip";
-    d.summary = "test fixture";
-    d.make = [](const ResolvedParams&, const StrategyEnv&) {
-      class CoinFlip : public LifetimeEstimator {
-       public:
-        double StabilityScore(const PeerObservation& obs) const override {
-          return static_cast<double>(obs.age % 2);
-        }
-        double ExpectedResidualRounds(const PeerObservation&) const override {
-          return 1.0;
-        }
-        std::string name() const override { return "test-coin-flip"; }
-      };
-      return std::unique_ptr<LifetimeEstimator>(new CoinFlip());
-    };
-    RegisterEstimator(std::move(d));
-  }
-
-  auto spec = EstimatorSpec::Parse("test-coin-flip");
-  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-  auto estimator = MakeEstimator(*spec, StrategyEnv{});
-  ASSERT_TRUE(estimator.ok());
-  EXPECT_EQ((*estimator)->name(), "test-coin-flip");
-
-  bool listed = false;
-  for (const EstimatorDescriptor* d : ListEstimators()) {
-    listed = listed || d->name == "test-coin-flip";
-  }
-  EXPECT_TRUE(listed);
 }
 
 }  // namespace

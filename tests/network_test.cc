@@ -316,7 +316,7 @@ TEST(NetworkTest, PoliciesRun) {
   for (const char* policy :
        {"fixed-threshold", "adaptive-threshold", "proactive",
         "adaptive-redundancy", "adaptive-redundancy{safety_factor=8}",
-        "proactive{batch_blocks=4,emergency_threshold=132}"}) {
+        "proactive{batch_blocks=4,emergency_threshold=18}"}) {
     SCOPED_TRACE(policy);
     SystemOptions opts = SmallOptions();
     auto spec = core::PolicySpec::Parse(policy);

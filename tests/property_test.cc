@@ -94,16 +94,17 @@ TEST(StrategyProperty, FlagLevelBoundsEveryRegisteredPolicy) {
   util::Rng rng(20240728);
   core::StrategyEnv env;  // k = 128, n = 256, repair_threshold = 148
 
-  for (const core::PolicyDescriptor* descriptor : core::ListPolicies()) {
-    SCOPED_TRACE(descriptor->name);
+  for (const core::PolicyDescriptor& descriptor :
+       core::Family<core::MaintenancePolicy>().strategies) {
+    SCOPED_TRACE(descriptor.name);
     int valid_trials = 0;
     for (int trial = 0; trial < 200 && valid_trials < 50; ++trial) {
       core::PolicySpec spec;
-      spec.name = descriptor->name;
+      spec.name = descriptor.name;
       // Half the trials run pure defaults; the rest set every parameter to
       // a uniformly drawn in-range value.
       if (trial % 2 == 1) {
-        for (const core::ParamInfo& info : descriptor->params) {
+        for (const core::ParamInfo& info : descriptor.params) {
           // Keep integer draws in a simulation-sized window: the declared
           // ranges go to 2^20 and huge levels are valid but uninteresting.
           const double hi = std::min(info.max_value, 4096.0);
@@ -154,17 +155,18 @@ TEST(StrategyProperty, StabilityScoreMonotoneInAgeForEveryEstimator) {
   util::Rng rng(20260729);
   core::StrategyEnv env;  // acceptance_horizon = 90 days
 
-  for (const core::EstimatorDescriptor* descriptor : core::ListEstimators()) {
-    SCOPED_TRACE(descriptor->name);
+  for (const core::EstimatorDescriptor& descriptor :
+       core::Family<core::LifetimeEstimator>().strategies) {
+    SCOPED_TRACE(descriptor.name);
     int valid_trials = 0;
     for (int trial = 0; trial < 200 && valid_trials < 50; ++trial) {
       core::EstimatorSpec spec;
-      spec.name = descriptor->name;
+      spec.name = descriptor.name;
       // Half the trials run pure defaults; the rest set every parameter to
       // a uniformly drawn in-range value (integer draws clamped to a
       // simulation-sized window, as in the policy property test).
       if (trial % 2 == 1) {
-        for (const core::ParamInfo& info : descriptor->params) {
+        for (const core::ParamInfo& info : descriptor.params) {
           const double hi = std::min(info.max_value, 4096.0);
           if (info.type == core::ParamType::kInt) {
             spec.params[info.name] = core::ParamValue::Int(rng.UniformInt(
@@ -231,11 +233,7 @@ TEST(MetricsProperty, AggregatedMeanLiesWithinCellRangeForEveryMetric) {
   spec.base.seed = rng.NextU64();
   spec.replicates = 3;
   for (const metrics::MetricDescriptor* d : metrics::ListMetrics()) {
-    // Select every collector-fed probe (a test binary may have registered
-    // extra metrics no probe feeds; those fail validation by design).
-    if (metrics::Collector::FeedsMetric(d->name)) {
-      spec.metrics.push_back(d->name);
-    }
+    spec.metrics.push_back(d->name);
   }
   ASSERT_TRUE(spec.Validate().ok()) << spec.Validate().ToString();
 

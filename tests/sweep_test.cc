@@ -23,6 +23,7 @@
 #include "core/strategy_registry.h"
 #include "metrics/registry.h"
 #include "scenario/registry.h"
+#include "scenario/text.h"
 #include "sweep/report.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
@@ -283,6 +284,67 @@ TEST(SystemOptionsTest, ValidateRejectsBadKnobs) {
   EXPECT_TRUE(options.Validate().IsInvalidArgument());
 }
 
+TEST(SystemOptionsTest, ExplicitPolicyThresholdsRespectTheCodeGeometry) {
+  // A policy parameter whose default follows repair_threshold is a repair
+  // threshold too. Set explicitly, it must lie in [k, k + m] = [128, 256]
+  // on every surface a user can write it - scenario text, a --policy
+  // override, the sweep's policy axis - and fail there naming the
+  // parameter, instead of running a degenerate simulation (above n a peer
+  // repairs every round, below k archives are lost) or aborting in the
+  // network constructor.
+  struct Case {
+    const char* policy;
+    const char* bad_param;  // null: the spec is valid
+  };
+  const Case kCases[] = {
+      {"fixed-threshold{threshold=257}", "threshold"},
+      {"fixed-threshold{threshold=100}", "threshold"},
+      {"adaptive-redundancy{threshold=300}", "threshold"},
+      {"adaptive-redundancy{threshold=127}", "threshold"},
+      {"proactive{emergency_threshold=257}", "emergency_threshold"},
+      {"proactive{emergency_threshold=1}", "emergency_threshold"},
+      {"fixed-threshold{threshold=128}", nullptr},
+      {"fixed-threshold{threshold=256}", nullptr},
+      {"adaptive-redundancy{threshold=256}", nullptr},
+      {"proactive{emergency_threshold=140}", nullptr},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.policy);
+    auto expect = [&c](const util::Status& st) {
+      if (c.bad_param == nullptr) {
+        EXPECT_TRUE(st.ok()) << st.ToString();
+        return;
+      }
+      EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+      EXPECT_NE(st.message().find(std::string("'") + c.bad_param + "'"),
+                std::string::npos)
+          << st.message();
+    };
+
+    // Scenario text.
+    expect(scenario::ParseScenarioText(
+               std::string("name = x\noptions.policy = ") + c.policy + "\n")
+               .status());
+
+    // --policy: the spec parses on its own; the scenario it overrides must
+    // then fail validation.
+    auto parsed = core::PolicySpec::Parse(c.policy);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    auto paper = scenario::FindScenario("paper");
+    ASSERT_TRUE(paper.ok());
+    paper->options.policy = *parsed;
+    expect(paper->Validate());
+
+    // The sweep policy axis fails at validation and at expansion.
+    SweepSpec spec;
+    spec.base.peers = 120;
+    spec.base.rounds = 400;
+    spec.policies = {"fixed-threshold", c.policy};
+    expect(spec.Validate());
+    EXPECT_EQ(spec.Expand().ok(), c.bad_param == nullptr);
+  }
+}
+
 TEST(SystemOptionsTest, ValidateRejectsNonPositiveSampleInterval) {
   // sample_interval <= 0 would stall the series sampler forever.
   backup::SystemOptions options;
@@ -435,33 +497,12 @@ TEST(SweepSpecTest, EstimatorAxisResolvesSpecsAndRejectsUnknownTokens) {
 
 TEST(RunnerTest, DefaultEstimatorSpecsMatchLegacyAgePath) {
   // The pre-estimator protocol sorted candidates by raw, unsaturated age.
-  // Lock the default against that ordering with a test-registered raw-age
-  // estimator (score = age, no horizon): in a run whose ages exceed the
-  // saturation horizon it reproduces the legacy sort key exactly, so the
-  // bare `age-rank` default, an explicit horizon, an exponent-0
-  // availability weighting, and the raw legacy key must all produce the
-  // same simulation block for block.
-  if (core::FindEstimator("test-raw-age") == nullptr) {
-    core::EstimatorDescriptor d;
-    d.name = "test-raw-age";
-    d.summary = "legacy sort key: score = raw age, unsaturated";
-    d.make = [](const core::ResolvedParams&, const core::StrategyEnv&) {
-      class RawAge : public core::LifetimeEstimator {
-       public:
-        double StabilityScore(const core::PeerObservation& obs) const override {
-          return static_cast<double>(obs.age);
-        }
-        double ExpectedResidualRounds(
-            const core::PeerObservation& obs) const override {
-          return static_cast<double>(obs.age);
-        }
-        std::string name() const override { return "test-raw-age"; }
-      };
-      return std::unique_ptr<core::LifetimeEstimator>(new RawAge());
-    };
-    core::RegisterEstimator(std::move(d));
-  }
-
+  // Lock the default against that ordering with `age-rank` at the largest
+  // horizon (2^20 rounds): no age in this 400-round run comes near it, so
+  // its score min(age, 2^20) is the raw age - the legacy sort key. In a run
+  // whose ages exceed the saturation horizon, the bare `age-rank` default,
+  // an explicit horizon, an exponent-0 availability weighting, and the raw
+  // legacy key must all produce the same simulation block for block.
   SweepSpec base;
   base.base.peers = 120;
   base.base.rounds = 400;
@@ -476,7 +517,8 @@ TEST(RunnerTest, DefaultEstimatorSpecsMatchLegacyAgePath) {
 
   SweepSpec specced = base;
   specced.estimators = {"age-rank", "age-rank{horizon=120}",
-                        "availability-weighted{exponent=0}", "test-raw-age"};
+                        "availability-weighted{exponent=0}",
+                        "age-rank{horizon=1048576}"};
   auto results = RunSweep(specced, RunnerOptions{});
   ASSERT_TRUE(results.ok()) << results.status().ToString();
   const SweepReport report = SweepReport::Build(specced, *results);

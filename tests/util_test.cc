@@ -37,12 +37,8 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
 
 TEST(StatusTest, DistinctCategories) {
   EXPECT_TRUE(Status::InvalidArgument("x").IsInvalidArgument());
-  EXPECT_TRUE(Status::Corruption("x").IsCorruption());
   EXPECT_TRUE(Status::OutOfRange("x").IsOutOfRange());
-  EXPECT_TRUE(Status::ResourceExhausted("x").IsResourceExhausted());
-  EXPECT_TRUE(Status::FailedPrecondition("x").IsFailedPrecondition());
   EXPECT_TRUE(Status::Unavailable("x").IsUnavailable());
-  EXPECT_TRUE(Status::Internal("x").IsInternal());
   EXPECT_NE(Status::NotFound("a"), Status::NotFound("b"));
 }
 
@@ -260,25 +256,6 @@ TEST(RngTest, ParetoTailExponent) {
   const int trials = 100'000;
   for (int i = 0; i < trials; ++i) exceed += rng.Pareto(1.0, 2.0) > 2.0;
   EXPECT_NEAR(exceed / static_cast<double>(trials), 0.25, 0.01);
-}
-
-TEST(RngTest, SampleIndicesDistinctAndInRange) {
-  Rng rng(12);
-  for (int round = 0; round < 100; ++round) {
-    auto sample = rng.SampleIndices(50, 10);
-    ASSERT_EQ(sample.size(), 10u);
-    std::set<uint32_t> uniq(sample.begin(), sample.end());
-    EXPECT_EQ(uniq.size(), 10u);
-    for (uint32_t v : sample) EXPECT_LT(v, 50u);
-  }
-}
-
-TEST(RngTest, SampleIndicesWholeUniverse) {
-  Rng rng(13);
-  auto sample = rng.SampleIndices(8, 20);
-  ASSERT_EQ(sample.size(), 8u);
-  std::set<uint32_t> uniq(sample.begin(), sample.end());
-  EXPECT_EQ(uniq.size(), 8u);
 }
 
 TEST(RngTest, DerivedStreamsIndependent) {
