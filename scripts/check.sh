@@ -89,6 +89,26 @@ for scenario in "${scenarios[@]}"; do
 done
 
 echo
+echo "== instant smoke: every registered scenario in instant visibility, invariant-checked =="
+# The loops above all run the scenarios' own (timeout) visibility. Instant
+# visibility drives the per-owner visible counts on every session toggle
+# and replaces unreachable partners on repair, under the same bound of n
+# partners per owner. Render each scenario, switch it to instant mode, and
+# run it past the day-30..100 workload events.
+instant_dir="$(mktemp -d)"
+trap 'rm -rf "${instant_dir}"' EXIT
+for scenario in "${scenarios[@]}"; do
+  echo "-- scenario: ${scenario} (visibility=instant)"
+  instant_file="${instant_dir}/${scenario}.scenario"
+  ./build/scenario_tool show "${scenario}" \
+    | sed 's/^options\.visibility = .*/options.visibility = instant/' \
+    > "${instant_file}"
+  grep -q '^options\.visibility = instant$' "${instant_file}"
+  ./build/scenario_tool run "${instant_file}" --peers=500 --rounds=3000 \
+    --check --brief
+done
+
+echo
 echo "== strategy smoke: every registered policy, selection, and estimator, invariant-checked =="
 # A registered strategy that cannot complete a short run (bad defaults, a
 # FlagLevel that masks its own trigger, a crash in Choose or StabilityScore)

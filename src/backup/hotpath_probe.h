@@ -33,8 +33,7 @@ struct HotPathProbe {
   int SeverPartners(PeerId owner, int count) {
     int cut = 0;
     while (cut < count && !net->partners_[owner].empty()) {
-      net->RemovePartnerAt(
-          owner, static_cast<uint32_t>(net->partners_[owner].size()) - 1);
+      net->RemovePartnerAt(owner, net->partners_[owner].size() - 1);
       ++cut;
     }
     net->FlagForRepair(owner);
@@ -53,6 +52,12 @@ struct HotPathProbe {
   /// The placement stream itself, for state()/set_state() snapshot tests
   /// that replay a BuildPool episode draw for draw.
   util::Rng* place_rng() { return net->place_rng_; }
+
+  /// Row capacities of the partnership store, and the length of one host's
+  /// client row: lets tests hold the store's sizing bounds.
+  size_t partner_row_width() const { return net->partners_.width(); }
+  size_t client_row_width() const { return net->clients_.width(); }
+  uint32_t ClientCount(PeerId host) const { return net->clients_[host].size(); }
 
   /// Host ids of `owner`'s current partners (the exclusion set BuildPool
   /// epoch-marks); lets reference samplers in tests mirror the real one.

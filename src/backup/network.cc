@@ -91,7 +91,6 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
   selection_ = std::move(*selection);
   estimator_ = std::move(*estimator);
   flag_level_ = policy_->FlagLevel(options.k, n_total);
-  partner_cap_ = static_cast<int>(options.max_partner_factor * n_total);
 
   if (options_.transfer_enabled) {
     const util::Result<transfer::LinkProfile> link =
@@ -103,11 +102,25 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
   }
 
   peers_.resize(normal_slots_);
-  partners_.resize(normal_slots_);
-  clients_.resize(normal_slots_);
+  // Partnership rows (README "Hot path"), one per id, observers included.
+  // Placement stops at episode_target <= n, so an owner holds at most n
+  // partners, all distinct normal peers. A host holds at most quota_blocks
+  // normal clients - TryPlaceBlock never lets hosted pass the quota, and
+  // ghost quota only shrinks the room - plus at most one block per
+  // observer, the only blocks allowed past the quota. Both widths are
+  // clamped by the population, so no geometry can outgrow the id space.
+  const size_t id_space = size_t{normal_slots_} + kMaxObservers;
+  const size_t n_blocks =
+      static_cast<size_t>(options.k) + static_cast<size_t>(options.m);
+  partners_.Allocate(id_space, std::min<size_t>(n_blocks, normal_slots_));
+  clients_.Allocate(id_space,
+                    std::min<size_t>(static_cast<size_t>(options.quota_blocks),
+                                     normal_slots_) +
+                        kMaxObservers);
   // Hot-path lanes and scratch (README "Hot path"): all-zero eligibility is
   // correct for the not-yet-live slots peers_.resize() just created, and -1
   // marks every score-memo entry invalid (rounds start at 0).
+  visible_.assign(id_space, 0);
   elig_.assign(normal_slots_ + kMaxObservers, 0);
   join_lane_.assign(normal_slots_ + kMaxObservers, 0);
   score_round_.assign(normal_slots_ + kMaxObservers, -1);
@@ -134,10 +147,7 @@ size_t BackupNetwork::AddObserver(const std::string& name, sim::Round frozen_age
   P2P_CHECK(collector_.observers().size() < kMaxObservers);
   const PeerId id = static_cast<PeerId>(peers_.size());
   peers_.emplace_back();
-  partners_.emplace_back();
-  clients_.emplace_back();
   PeerState& p = peers_.back();
-  p.is_observer = true;
   p.live = true;
   p.frozen_age = frozen_age;
   p.online = true;
@@ -159,6 +169,7 @@ void BackupNetwork::InitPeer(PeerId id, sim::Round now) {
   ++live_count_;
   p.profile = profiles_->SampleIndex(churn_rng_);
   p.join_round = now;
+  visible_[id] = 0;
 
   const churn::Profile& profile = (*profiles_)[p.profile];
   const sim::Round lifetime = profile.lifetime->Sample(churn_rng_);
@@ -208,11 +219,11 @@ void BackupNetwork::DepartPeer(PeerId id, sim::Round now, bool replace) {
 
   // Its own backup: partners learn of the departure and free the space -
   // immediately in the paper, after a grace period as future work.
-  if (options_.departure_grace > 0 && !p.is_observer) {
+  if (options_.departure_grace > 0 && !IsObserverId(id)) {
     // Sever the metadata now but keep the hosts' quota consumed ("ghost
     // quota") until the grace period elapses.
     while (!partners_[id].empty()) {
-      const uint32_t last = static_cast<uint32_t>(partners_[id].size()) - 1;
+      const uint32_t last = partners_[id].size() - 1;
       const PeerId host = partners_[id][last].peer;
       quota_releases_.Schedule(now + options_.departure_grace,
                                Event{host, peers_[host].incarnation, 0});
@@ -229,6 +240,7 @@ void BackupNetwork::DepartPeer(PeerId id, sim::Round now, bool replace) {
     const uint32_t incarnation = p.incarnation;
     p = PeerState();
     p.incarnation = incarnation;
+    visible_[id] = 0;
     RefreshElig(id);
     return;
   }
@@ -302,9 +314,10 @@ void BackupNetwork::OnRound(sim::Round now) {
   }
 }
 
+// DETLINT: hot-path-begin
 void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
   PeerState& p = peers_[e.id];
-  if (p.incarnation != e.incarnation || p.next_toggle != now || p.is_observer) {
+  if (p.incarnation != e.incarnation || p.next_toggle != now || IsObserverId(e.id)) {
     return;  // stale
   }
   const churn::Profile& profile = (*profiles_)[p.profile];
@@ -314,10 +327,8 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
     monitor_.RecordDisconnect(e.id, now);
     if (instant_visibility()) {
       // Every owner storing on this peer sees one fewer visible block.
-      for (const Link& c : clients_[e.id]) {
-        PeerState& owner = peers_[c.peer];
-        --owner.visible;
-        if (owner.visible < flag_level_) FlagForRepair(c.peer);
+      for (const ClientLink& c : clients_[e.id]) {
+        if (--visible_[c.owner] < flag_level_) FlagForRepair(c.owner);
       }
     } else {
       // If it stays unreachable past the timeout, partners presume
@@ -332,7 +343,7 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
     p.offline_since = -1;
     monitor_.RecordConnect(e.id, now);
     if (instant_visibility()) {
-      for (const Link& c : clients_[e.id]) ++peers_[c.peer].visible;
+      for (const ClientLink& c : clients_[e.id]) ++visible_[c.owner];
     }
     if (p.needs_repair) EnqueueRepair(e.id);
     const sim::Round on_len = profile.sessions.SampleOnline(churn_rng_);
@@ -341,6 +352,7 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
   RefreshElig(e.id);
   toggles_.Schedule(p.next_toggle, Event{e.id, p.incarnation, p.next_toggle});
 }
+// DETLINT: hot-path-end
 
 void BackupNetwork::ProcessDeparture(const Event& e, sim::Round now) {
   PeerState& p = peers_[e.id];
@@ -371,22 +383,19 @@ void BackupNetwork::ProcessCategory(const Event& e, sim::Round now) {
   }
 }
 
+// DETLINT: hot-path-begin
 void BackupNetwork::AddPartnership(PeerId owner, PeerId host) {
-  const sim::Round now = engine_->now();
-  partners_[owner].push_back(
-      Link{host, static_cast<uint32_t>(clients_[host].size()), now});
-  clients_[host].push_back(
-      Link{owner, static_cast<uint32_t>(partners_[owner].size()) - 1, now});
+  partners_.Append(owner, Link{host, clients_[host].size(), engine_->now()});
+  clients_.Append(host, ClientLink{owner, partners_[owner].size() - 1});
   PeerState& h = peers_[host];
-  if (!peers_[owner].is_observer) {
+  if (!IsObserverId(owner)) {
     ++h.hosted;
-    h.newest_client_join = std::max(h.newest_client_join,
-                                    peers_[owner].join_round);
+    h.newest_client_join = std::max(h.newest_client_join, join_lane_[owner]);
   } else {
     ++h.observer_clients;
   }
   RefreshElig(host);  // hosted may have crossed the quota boundary
-  if (instant_visibility() && h.online) ++peers_[owner].visible;
+  if (instant_visibility() && h.online) ++visible_[owner];
 }
 
 void BackupNetwork::RemovePartnerAt(PeerId owner, uint32_t index,
@@ -394,53 +403,53 @@ void BackupNetwork::RemovePartnerAt(PeerId owner, uint32_t index,
   const Link link = partners_[owner][index];
   const PeerId host = link.peer;
   const uint32_t j = link.back;
+  const bool observer = IsObserverId(owner);
   // Observer-owned partnerships are excluded from the lifetime probe, like
   // every other observer-side measurement.
-  if (!peers_[owner].is_observer) {
-    collector_.OnPartnershipEnded(engine_->now() - link.formed);
-  }
+  if (!observer) collector_.OnPartnershipEnded(engine_->now() - link.formed);
   // Swap-remove the twin on the host side.
   if (j + 1 != clients_[host].size()) {
-    const Link moved = clients_[host].back();
-    clients_[host][j] = moved;
-    partners_[moved.peer][moved.back].back = j;
+    const ClientLink moved = clients_[host].back();
+    clients_.At(host, j) = moved;
+    partners_.At(moved.owner, moved.back).back = j;
   }
-  clients_[host].pop_back();
+  clients_.PopBack(host);
   // Swap-remove on the owner side.
   if (index + 1 != partners_[owner].size()) {
     const Link moved = partners_[owner].back();
-    partners_[owner][index] = moved;
-    clients_[moved.peer][moved.back].back = index;
+    partners_.At(owner, index) = moved;
+    clients_.At(moved.peer, moved.back).back = index;
   }
-  partners_[owner].pop_back();
+  partners_.PopBack(owner);
   PeerState& h = peers_[host];
-  if (!peers_[owner].is_observer) {
+  if (!observer) {
     if (release_quota && h.hosted > 0) --h.hosted;
-    if (peers_[owner].join_round >= h.newest_client_join) {
+    if (join_lane_[owner] >= h.newest_client_join) {
       h.newest_client_join = -2;  // stale; recomputed lazily on demand
     }
   } else if (h.observer_clients > 0) {
     --h.observer_clients;
   }
   RefreshElig(host);  // hosted may have crossed back under the quota
-  if (instant_visibility() && h.online && peers_[owner].visible > 0) {
-    --peers_[owner].visible;
+  if (instant_visibility() && h.online && visible_[owner] > 0) {
+    --visible_[owner];
   }
 }
+// DETLINT: hot-path-end
 
 void BackupNetwork::SeverAsHost(PeerId host, sim::Round now) {
   scratch_owners_.clear();
   while (!clients_[host].empty()) {
-    const Link c = clients_[host].back();
-    scratch_owners_.push_back(c.peer);
-    RemovePartnerAt(c.peer, c.back);
+    const ClientLink c = clients_[host].back();
+    scratch_owners_.push_back(c.owner);
+    RemovePartnerAt(c.owner, c.back);
   }
   for (PeerId owner : scratch_owners_) OnBlocksLost(owner, 1, now);
 }
 
 void BackupNetwork::SeverAsOwner(PeerId owner) {
   while (!partners_[owner].empty()) {
-    RemovePartnerAt(owner, static_cast<uint32_t>(partners_[owner].size()) - 1);
+    RemovePartnerAt(owner, partners_[owner].size() - 1);
   }
 }
 
@@ -460,66 +469,72 @@ void BackupNetwork::OnBlocksLost(PeerId owner, int count, sim::Round now) {
 }
 
 int BackupNetwork::VisibleBasis(PeerId id) const {
-  return instant_visibility() ? peers_[id].visible
+  return instant_visibility() ? visible_[id]
                               : static_cast<int>(partners_[id].size());
 }
 
 sim::Round BackupNetwork::EffectiveJoin(PeerId id) const {
   const PeerState& p = peers_[id];
-  return p.is_observer ? engine_->now() - p.frozen_age : p.join_round;
+  return IsObserverId(id) ? engine_->now() - p.frozen_age : p.join_round;
 }
 
 sim::Round BackupNetwork::MarketAge(PeerId id) const {
-  return std::min(AgeOf(id), options_.acceptance_horizon);
+  // Normal peers read the dense join lane (the quota market's hot loop
+  // calls this once per client); observers keep their frozen age.
+  const sim::Round age = IsObserverId(id) ? peers_[id].frozen_age
+                                          : engine_->now() - join_lane_[id];
+  return std::min(age, options_.acceptance_horizon);
 }
 
 sim::Round BackupNetwork::YoungestClientJoin(PeerId host) {
   PeerState& h = peers_[host];
   if (h.newest_client_join == -2) {
     h.newest_client_join = -1;
-    for (const Link& c : clients_[host]) {
-      if (!peers_[c.peer].is_observer) {
+    for (const ClientLink& c : clients_[host]) {
+      if (!IsObserverId(c.owner)) {
         h.newest_client_join =
-            std::max(h.newest_client_join, peers_[c.peer].join_round);
+            std::max(h.newest_client_join, join_lane_[c.owner]);
       }
     }
   }
   sim::Round youngest = h.newest_client_join;
   if (h.observer_clients > 0) {
-    for (const Link& c : clients_[host]) {
-      if (peers_[c.peer].is_observer) {
-        youngest = std::max(youngest, EffectiveJoin(c.peer));
+    for (const ClientLink& c : clients_[host]) {
+      if (IsObserverId(c.owner)) {
+        youngest = std::max(youngest, EffectiveJoin(c.owner));
       }
     }
   }
   return youngest;
 }
 
+// DETLINT: hot-path-begin
 bool BackupNetwork::TryEvictYoungestClient(PeerId host, sim::Round newer_than,
                                            sim::Round now) {
-  auto& cl = clients_[host];
-  int best = -1;
+  const LinkRows<ClientLink>::Row cl = clients_[host];
+  uint32_t best = UINT32_MAX;
   sim::Round best_age = newer_than;  // the victim must be strictly younger
   for (uint32_t j = 0; j < cl.size(); ++j) {
-    const sim::Round a = MarketAge(cl[j].peer);
+    const sim::Round a = MarketAge(cl[j].owner);
     if (a < best_age) {
       best_age = a;
-      best = static_cast<int>(j);
+      best = j;
     }
   }
-  if (best < 0) return false;
-  const PeerId victim = cl[static_cast<size_t>(best)].peer;
-  RemovePartnerAt(victim, cl[static_cast<size_t>(best)].back);
-  OnBlocksLost(victim, 1, now);
+  if (best == UINT32_MAX) return false;
+  const ClientLink victim = cl[best];
+  RemovePartnerAt(victim.owner, victim.back);
+  OnBlocksLost(victim.owner, 1, now);
   return true;
 }
+// DETLINT: hot-path-end
 
 bool BackupNetwork::TryPlaceBlock(PeerId owner, PeerId host, sim::Round now) {
   PeerState& h = peers_[host];
   if (h.hosted >= options_.quota_blocks) {
     if (!options_.quota_market) return false;
     const sim::Round owner_age = MarketAge(owner);
-    if (peers_[owner].is_observer) {
+    if (IsObserverId(owner)) {
       // Observers must experience the same market a real peer of their
       // frozen age would, but their phantom blocks must not displace real
       // ones: admissible only when an eviction would have been possible.
@@ -540,10 +555,9 @@ bool BackupNetwork::TryPlaceBlock(PeerId owner, PeerId host, sim::Round now) {
 
 int BackupNetwork::EvictOfflinePartners(PeerId owner, int count) {
   int evicted = 0;
-  auto& links = partners_[owner];
-  for (uint32_t i = static_cast<uint32_t>(links.size()); i-- > 0;) {
+  for (uint32_t i = partners_[owner].size(); i-- > 0;) {
     if (evicted >= count) break;
-    if (!peers_[links[i].peer].online) {
+    if (!peers_[partners_[owner][i].peer].online) {
       RemovePartnerAt(owner, i);
       ++evicted;
     }
@@ -559,7 +573,7 @@ void BackupNetwork::HandleArchiveLoss(PeerId owner, sim::Round now) {
     transfer_->Cancel(owner);
     p.transfer_pending = false;
   }
-  if (p.is_observer) {
+  if (IsObserverId(owner)) {
     collector_.OnObserverLoss(owner - normal_slots_);
   } else {
     collector_.OnLoss(CategoryAt(owner, now));
@@ -577,7 +591,7 @@ void BackupNetwork::FlagForRepair(PeerId id) {
   // Observers are measurement instruments: like the category accounting,
   // the episode probes (time-to-repair, vulnerability) exclude them, so
   // adding an observer never moves a reported system metric.
-  if (!p.needs_repair && !p.is_observer) {
+  if (!p.needs_repair && !IsObserverId(id)) {
     collector_.OnRepairFlagged(id, engine_->now());
   }
   p.needs_repair = true;
@@ -617,7 +631,7 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
   // "The peer must first download k blocks to be able to decode the
   // original data": with fewer than k blocks reachable, the repair fails
   // and the archive is lost (paper 4.2.1 discussion of figure 2).
-  if (instant_visibility() && p.backed_up && p.visible < options_.k) {
+  if (instant_visibility() && p.backed_up && visible_[id] < options_.k) {
     HandleArchiveLoss(id, now);
   }
 
@@ -640,7 +654,7 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
         // Recovered above the trigger level (e.g. partners came back
         // online) before the repair started: nothing to do.
         p.needs_repair = false;
-        if (!p.is_observer) collector_.OnRepairCleared(id, now);
+        if (!IsObserverId(id)) collector_.OnRepairCleared(id, now);
         return;
       }
       // Honor the policy's redundancy verdict (adaptive-redundancy moves
@@ -657,7 +671,7 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
     // placement is mandatory regardless of policy.
     p.episode_active = true;
     p.episode_placed = 0;
-    if (p.is_observer) {
+    if (IsObserverId(id)) {
       TRACE_COUNTER("repair/observer_episodes", 1);
       collector_.OnObserverRepair(id - normal_slots_);
     } else {
@@ -687,7 +701,7 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
 
   if (static_cast<int>(partners_[id].size()) >= p.episode_target) {
     p.episode_active = false;
-    if (transfer_ && !p.is_observer) {
+    if (transfer_ && !IsObserverId(id)) {
       // Placement chose the hosts; the bytes still have to move on the
       // link. The repair flag (and the vulnerability window) clears only
       // when the scheduler reports the job's last byte.
@@ -697,7 +711,7 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
       return;
     }
     p.needs_repair = false;
-    if (!p.is_observer) collector_.OnRepairCleared(id, now, /*initial=*/!p.backed_up);
+    if (!IsObserverId(id)) collector_.OnRepairCleared(id, now, /*initial=*/!p.backed_up);
     p.last_repair = now;
     p.backed_up = true;
     // The refreshed set may still sit under the trigger level (newly placed
@@ -873,6 +887,9 @@ int BackupNetwork::BuildPool(PeerId owner, int needed,
   // many repairing owners in one round is scored once.
   {
     TRACE_SCOPE("repair/score");
+    // Age-only scoring: an estimator that never reads availability is
+    // scored without the monitor's window search.
+    const bool reads_availability = estimator_->ReadsAvailability();
     for (core::Candidate& cand : *pool) {
       if (score_round_[cand.id] == now) {
         ++pool_stats_.score_memo_hits;
@@ -881,7 +898,9 @@ int BackupNetwork::BuildPool(PeerId owner, int needed,
       }
       ++pool_stats_.score_evals;
       cand.score = estimator_->StabilityScore(
-          monitor_.Observe(cand.id, monitor_.history_window(), now));
+          reads_availability
+              ? monitor_.Observe(cand.id, monitor_.history_window(), now)
+              : monitor_.ObserveAge(cand.id, now));
       score_round_[cand.id] = now;
       score_val_[cand.id] = cand.score;
     }
@@ -907,7 +926,7 @@ double BackupNetwork::ReadLossRate(PeerId id, sim::Round now) const {
 
 sim::Round BackupNetwork::AgeOf(PeerId id) const {
   const PeerState& p = peers_[id];
-  if (p.is_observer) return p.frozen_age;
+  if (IsObserverId(id)) return p.frozen_age;
   return engine_->now() - p.join_round;
 }
 
@@ -920,7 +939,7 @@ BackupNetwork::PopulationStats BackupNetwork::ComputePopulationStats() const {
   for (PeerId id = 0; id < normal_slots_; ++id) {
     if (!peers_[id].live) continue;
     s.mean_partners += static_cast<double>(partners_[id].size());
-    s.mean_visible += static_cast<double>(peers_[id].visible);
+    s.mean_visible += static_cast<double>(visible_[id]);
     s.mean_hosted += static_cast<double>(peers_[id].hosted);
     s.online_fraction += peers_[id].online ? 1.0 : 0.0;
     s.backed_up += peers_[id].backed_up ? 1 : 0;
@@ -954,7 +973,6 @@ BackupNetwork::PartnerSetStats BackupNetwork::ComputePartnerStats(
 
 void BackupNetwork::CheckInvariants() const {
   const int n = options_.k + options_.m;
-  const int bound = instant_visibility() ? partner_cap_ : n;
   std::vector<int> hosted_check(peers_.size(), 0);
   int64_t live_check = 0;
   for (PeerId o = 0; o < peers_.size(); ++o) {
@@ -965,25 +983,26 @@ void BackupNetwork::CheckInvariants() const {
       P2P_CHECK(clients_[o].empty());
       P2P_CHECK(!peers_[o].online);
       P2P_CHECK(peers_[o].hosted == 0);
+      P2P_CHECK(visible_[o] == 0);
       continue;
     }
-    if (!peers_[o].is_observer) ++live_check;
-    P2P_CHECK(static_cast<int>(partners_[o].size()) <= bound);
+    if (!IsObserverId(o)) ++live_check;
+    P2P_CHECK(static_cast<int>(partners_[o].size()) <= n);
     if (instant_visibility()) {
       int visible_check = 0;
       for (const Link& link : partners_[o]) {
         if (peers_[link.peer].online) ++visible_check;
       }
-      P2P_CHECK(peers_[o].visible == visible_check);
+      P2P_CHECK(visible_[o] == visible_check);
     }
     for (uint32_t i = 0; i < partners_[o].size(); ++i) {
       const Link& link = partners_[o][i];
       P2P_CHECK(link.peer < normal_slots_);  // hosts are normal peers
       P2P_CHECK(peers_[link.peer].live);     // ...and members right now
       P2P_CHECK(link.back < clients_[link.peer].size());
-      const Link& twin = clients_[link.peer][link.back];
-      P2P_CHECK(twin.peer == o && twin.back == i);
-      if (!peers_[o].is_observer) ++hosted_check[link.peer];
+      const ClientLink& twin = clients_[link.peer][link.back];
+      P2P_CHECK(twin.owner == o && twin.back == i);
+      if (!IsObserverId(o)) ++hosted_check[link.peer];
     }
     // Distinctness: no host appears twice for one owner.
     std::vector<PeerId> hosts;
@@ -1001,7 +1020,7 @@ void BackupNetwork::CheckInvariants() const {
         (p.live ? kEligLive : 0) | (p.online ? kEligOnline : 0) |
         (p.hosted >= options_.quota_blocks ? kEligQuotaFull : 0));
     P2P_CHECK(elig_[id] == want);
-    if (p.live && !p.is_observer) P2P_CHECK(join_lane_[id] == p.join_round);
+    if (p.live && !IsObserverId(id)) P2P_CHECK(join_lane_[id] == p.join_round);
   }
   // Eligible-candidate index oracle: the index must hold every live normal
   // peer exactly once with the online partition boundary exact and the
@@ -1035,7 +1054,7 @@ void BackupNetwork::CheckInvariants() const {
     }
     P2P_CHECK(p.transfer_pending == transfer_->HasJob(id));
     if (p.transfer_pending) {
-      P2P_CHECK(p.live && !p.is_observer);
+      P2P_CHECK(p.live && !IsObserverId(id));
       P2P_CHECK(!p.episode_active);
       P2P_CHECK(p.needs_repair);
     }

@@ -9,8 +9,14 @@
 //  * A partnership is a pair of cross-indexed links (owner side, host side)
 //    with O(1) swap-removal; a host departing with hundreds of clients
 //    severs all of them in linear time without scans.
+//  * Both sides live in a flat, fixed-capacity row store: one row per peer
+//    id, sized once at construction from bounds the protocol guarantees (an
+//    owner holds at most n partners, a host at most quota_blocks normal
+//    clients plus one block per observer), with a dense per-row count lane.
+//    Rows never reallocate, and rows no peer has filled yet are never
+//    written, so they cost no resident memory.
 //  * "alive blocks" of an owner is by construction the size of its partner
-//    list: a block exists exactly while its partnership does.
+//    row: a block exists exactly while its partnership does.
 
 #ifndef P2P_BACKUP_NETWORK_H_
 #define P2P_BACKUP_NETWORK_H_
@@ -33,6 +39,7 @@
 #include "sim/engine.h"
 #include "sim/event_queue.h"
 #include "transfer/scheduler.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace p2p {
@@ -73,9 +80,9 @@ struct HotPathProbe;
 /// construction - partial Fisher-Yates over the index replaces rejection
 /// sampling over the id space. Dense SoA lanes (a one-byte eligibility
 /// mask and a join-round lane) back the remaining per-draw filters, every
-/// scratch buffer is a reused per-network member so a steady-state repair
-/// episode performs zero heap allocations, and estimator scores are
-/// memoized per (peer, round).
+/// scratch buffer is a reused per-network member and partnerships live in
+/// fixed-capacity rows, so a steady-state repair episode performs zero heap
+/// allocations, and estimator scores are memoized per (peer, round).
 class BackupNetwork {
  public:
   /// Wires the network into `engine` (registers the round hook). The engine
@@ -115,7 +122,7 @@ class BackupNetwork {
   int AliveBlocks(PeerId id) const {
     return static_cast<int>(partners_[id].size());
   }
-  int VisibleBlocks(PeerId id) const { return peers_[id].visible; }
+  int VisibleBlocks(PeerId id) const { return visible_[id]; }
   int HostedBlocks(PeerId id) const { return peers_[id].hosted; }
   sim::Round AgeOf(PeerId id) const;
   uint32_t ProfileOf(PeerId id) const { return peers_[id].profile; }
@@ -190,10 +197,64 @@ class BackupNetwork {
 
  private:
   friend struct HotPathProbe;
+  // Owner side of a partnership.
   struct Link {
-    PeerId peer;       // the peer on the other side
-    uint32_t back;     // index of the twin link in the other side's vector
+    PeerId peer;       // the host storing the block
+    uint32_t back;     // index of the twin ClientLink in the host's row
     sim::Round formed; // round the partnership was created (lifetime probe)
+  };
+  // Host side of a partnership: nothing reads when it formed, so it is half
+  // the size of the owner side.
+  struct ClientLink {
+    PeerId owner;      // the peer whose block is stored
+    uint32_t back;     // index of the twin Link in the owner's row
+  };
+
+  /// Flat, fixed-capacity link store: row r holds at most width() links at
+  /// a fixed offset, and its length lives in a dense count lane. Allocated
+  /// once and default-initialised rather than zero-filled, so a row nobody
+  /// has written never becomes resident. Reads go through Row, a view that
+  /// reads like the vector it replaces; writes through At/Append/PopBack.
+  template <typename T>
+  class LinkRows {
+   public:
+    /// One row, valid until that row's length changes.
+    struct Row {
+      const T* first;
+      uint32_t count;
+      const T* begin() const { return first; }
+      const T* end() const { return first + count; }
+      uint32_t size() const { return count; }
+      bool empty() const { return count == 0; }
+      const T& operator[](uint32_t i) const { return first[i]; }
+      const T& back() const { return first[count - 1]; }
+    };
+
+    /// Sizes the store for `rows` rows of `width` links; aborts when the
+    /// byte count would overflow size_t.
+    void Allocate(size_t rows, size_t width) {
+      P2P_CHECK(width <= UINT32_MAX);
+      P2P_CHECK(width == 0 || rows <= SIZE_MAX / sizeof(T) / width);
+      width_ = width;
+      count_.assign(rows, 0);
+      data_.reset(new T[rows * width]);  // default-init: pages stay untouched
+    }
+    size_t width() const { return width_; }
+    // DETLINT: hot-path-begin
+    Row operator[](PeerId r) const { return Row{Data(r), count_[r]}; }
+    T& At(PeerId r, uint32_t i) { return Data(r)[i]; }
+    void Append(PeerId r, const T& link) {
+      P2P_CHECK(count_[r] < width_);  // the protocol bound was violated
+      Data(r)[count_[r]++] = link;
+    }
+    void PopBack(PeerId r) { --count_[r]; }
+
+   private:
+    T* Data(PeerId r) const { return data_.get() + size_t{r} * width_; }
+    // DETLINT: hot-path-end
+    std::unique_ptr<T[]> data_;
+    std::vector<uint32_t> count_;
+    size_t width_ = 0;
   };
 
   struct PeerState {
@@ -208,7 +269,6 @@ class BackupNetwork {
     sim::Round offline_since = -1;
     sim::Round last_repair = -1;
     bool online = false;
-    bool is_observer = false;
     bool backed_up = false;
     bool needs_repair = false;
     bool in_repair_queue = false;
@@ -224,7 +284,6 @@ class BackupNetwork {
     int episode_target = 0;
     sim::Round frozen_age = 0;  // observers only
     int hosted = 0;             // quota consumed by non-observer clients
-    int visible = 0;            // partners online right now (instant mode)
     int observer_clients = 0;   // observer-owned blocks on this host
     // Join round of the youngest normal client; -1 none, -2 stale cache.
     sim::Round newest_client_join = -1;
@@ -282,8 +341,9 @@ class BackupNetwork {
   /// The quantity the repair policy watches: online partners in instant
   /// mode, non-written-off partners in timeout mode.
   int VisibleBasis(PeerId id) const;
-  /// Evicts up to `count` offline partners to make room under the partner
-  /// cap (instant mode). Returns the number evicted.
+  /// Evicts up to `count` offline partners (instant mode: a maintenance
+  /// repair replaces the blocks that were unreachable when it triggered).
+  /// Returns the number evicted.
   int EvictOfflinePartners(PeerId owner, int count);
   /// Join round that orders peers by age for the quota market; observers
   /// rank by their frozen age.
@@ -301,6 +361,8 @@ class BackupNetwork {
   /// Places one block on `host`, evicting through the quota market if the
   /// host is full. Returns false when no capacity could be obtained.
   bool TryPlaceBlock(PeerId owner, PeerId host, sim::Round now);
+  /// Observers take the ids above every normal slot.
+  bool IsObserverId(PeerId id) const { return id >= normal_slots_; }
   bool instant_visibility() const {
     return options_.visibility == VisibilityModel::kInstantOnline;
   }
@@ -322,14 +384,16 @@ class BackupNetwork {
   std::unique_ptr<core::LifetimeEstimator> estimator_;
   core::AcceptanceFunction acceptance_;
   int flag_level_ = 0;     // visible level below which repair is evaluated
-  int partner_cap_ = 0;    // instant mode: max partners per owner
 
   util::Rng* churn_rng_;
   util::Rng* place_rng_;
 
   std::vector<PeerState> peers_;
-  std::vector<std::vector<Link>> partners_;  // owner -> hosts of its blocks
-  std::vector<std::vector<Link>> clients_;   // host -> owners it stores for
+  LinkRows<Link> partners_;       // owner -> hosts of its blocks
+  LinkRows<ClientLink> clients_;  // host -> owners it stores for
+  // Partners online right now (instant mode), one dense lane so a toggling
+  // host's loop over its clients stays in cache.
+  std::vector<int> visible_;
 
   sim::CalendarQueue<Event> toggles_;
   sim::CalendarQueue<Event> departures_;
@@ -409,7 +473,7 @@ class BackupNetwork {
         (p.live ? kEligLive : 0) | (p.online ? kEligOnline : 0) |
         (p.hosted >= options_.quota_blocks ? kEligQuotaFull : 0));
     elig_[id] = cur;
-    if (id >= normal_slots_) return;  // observers are never candidates
+    if (IsObserverId(id)) return;  // observers are never candidates
     const uint8_t flip = was ^ cur;
     if ((flip & (kEligLive | kEligOnline)) == 0) return;
     if ((flip & kEligLive) != 0) {

@@ -63,9 +63,6 @@ util::Status SystemOptions::Validate() const {
     return Invalid("partner_timeout must be >= 1 round, got " +
                    std::to_string(partner_timeout));
   }
-  if (max_partner_factor < 1.0) {
-    return Invalid("max_partner_factor must be >= 1.0");
-  }
   if (acceptance_horizon < 1) {
     return Invalid("acceptance_horizon must be >= 1 round");
   }
@@ -115,7 +112,6 @@ bool operator==(const SystemOptions& a, const SystemOptions& b) {
          a.repair_threshold == b.repair_threshold &&
          a.quota_blocks == b.quota_blocks && a.visibility == b.visibility &&
          a.partner_timeout == b.partner_timeout &&
-         a.max_partner_factor == b.max_partner_factor &&
          a.acceptance_horizon == b.acceptance_horizon &&
          a.use_acceptance == b.use_acceptance && a.selection == b.selection &&
          a.policy == b.policy && a.estimator == b.estimator &&

@@ -21,8 +21,9 @@ enum class VisibilityModel {
   /// A block is visible while its host is connected right now. Matches the
   /// paper's simulation ("a peer may lose more than 5 blocks in a round if
   /// its partners are not very stable" - only temporary disconnections can
-  /// move that fast). Partnerships are severed only by true departures; the
-  /// partner set may grow beyond n, bounded by max_partner_factor.
+  /// move that fast). Partnerships are severed only by true departures and
+  /// by repairs, which replace the partners unreachable when they trigger;
+  /// as in timeout mode, an owner never holds more than n partners.
   kInstantOnline,
   /// A block is visible until its host has been unreachable for
   /// partner_timeout rounds, after which it is written off (the protocol
@@ -57,11 +58,6 @@ struct SystemOptions {
   /// during the threshold period, it is considered that the peer has
   /// definitively left").
   sim::Round partner_timeout = 12;
-
-  /// kInstantOnline only: hard cap on a peer's partner count, as a multiple
-  /// of n (repairs add partners while offline ones linger; the cap evicts
-  /// the longest-idle offline partners when room is needed).
-  double max_partner_factor = 2.0;
 
   /// Acceptance-function horizon L (paper: 90 days).
   sim::Round acceptance_horizon = 90 * sim::kRoundsPerDay;

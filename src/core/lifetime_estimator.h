@@ -63,6 +63,13 @@ class LifetimeEstimator {
   /// empirical-residual builds its departure-age histogram from it.
   virtual void ObserveDeparture(sim::Round /*age_at_departure*/) {}
 
+  /// True when the score depends on PeerObservation::availability. An
+  /// estimator that says false is scored from an observation whose
+  /// availability was never measured (the monitor skips its window search
+  /// for it); the property suite checks that such a score ignores both
+  /// availability and rounds_since_seen.
+  virtual bool ReadsAvailability() const { return true; }
+
   /// Display name.
   virtual std::string name() const = 0;
 };
@@ -74,6 +81,7 @@ class AgeRankEstimator : public LifetimeEstimator {
   explicit AgeRankEstimator(sim::Round horizon = 90 * sim::kRoundsPerDay);
   double StabilityScore(const PeerObservation& obs) const override;
   double ExpectedResidualRounds(const PeerObservation& obs) const override;
+  bool ReadsAvailability() const override { return false; }
   std::string name() const override { return "age-rank"; }
 
  private:
@@ -88,6 +96,7 @@ class ParetoResidualEstimator : public LifetimeEstimator {
   ParetoResidualEstimator(double scale_rounds, double shape);
   double StabilityScore(const PeerObservation& obs) const override;
   double ExpectedResidualRounds(const PeerObservation& obs) const override;
+  bool ReadsAvailability() const override { return false; }
   std::string name() const override { return "pareto-residual"; }
 
  private:
@@ -109,6 +118,7 @@ class EmpiricalResidualEstimator : public LifetimeEstimator {
   double StabilityScore(const PeerObservation& obs) const override;
   double ExpectedResidualRounds(const PeerObservation& obs) const override;
   void ObserveDeparture(sim::Round age_at_departure) override;
+  bool ReadsAvailability() const override { return false; }
   std::string name() const override { return "empirical-residual"; }
 
   /// Departures observed so far (tests, reports).

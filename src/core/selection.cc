@@ -21,29 +21,31 @@ namespace {
 // Historically this was a std::stable_sort over the shuffled pool; stable
 // sorts allocate a merge buffer per call, which the allocation-free repair
 // loop forbids. Recording each candidate's post-shuffle position in `tie`
-// extends (score, age) to a total order, under which an in-place unstable
-// std::partial_sort of the `take` front produces byte-for-byte the ordering
-// stable_sort produced: stability is exactly "ties keep prior position".
-// Only the front `take` entries are taken, so ranking work drops from
-// O(pool log pool) to O(pool log take) as a bonus.
+// extends (score, age) to a total order, under which any correct in-place
+// ordering of the `take` front is byte-for-byte the ordering stable_sort
+// produced: stability is exactly "ties keep prior position". So the rank
+// is a linear-time std::nth_element that moves the `take` best to the front,
+// then a std::sort of that front only: O(pool + take log take) instead of a
+// heap-based partial_sort's O(pool log take). A total order admits exactly
+// one sorted front, so the two agree element for element.
 void ShuffleThenRankFront(std::vector<Candidate>* pool, size_t take,
                           util::Rng* rng, bool best_first) {
   rng->Shuffle(pool);
   for (size_t i = 0; i < pool->size(); ++i) {
     (*pool)[i].tie = static_cast<uint32_t>(i);
   }
-  std::partial_sort(pool->begin(), pool->begin() + static_cast<long>(take),
-                    pool->end(),
-                    [best_first](const Candidate& a, const Candidate& b) {
-                      if (a.score != b.score) {
-                        return best_first ? a.score > b.score
-                                          : a.score < b.score;
-                      }
-                      if (a.age != b.age) {
-                        return best_first ? a.age > b.age : a.age < b.age;
-                      }
-                      return a.tie < b.tie;
-                    });
+  const auto before = [best_first](const Candidate& a, const Candidate& b) {
+    if (a.score != b.score) {
+      return best_first ? a.score > b.score : a.score < b.score;
+    }
+    if (a.age != b.age) {
+      return best_first ? a.age > b.age : a.age < b.age;
+    }
+    return a.tie < b.tie;
+  };
+  const auto front_end = pool->begin() + static_cast<long>(take);
+  std::nth_element(pool->begin(), front_end, pool->end(), before);
+  std::sort(pool->begin(), front_end, before);
 }
 
 size_t TakeCount(const std::vector<Candidate>& pool, int d) {

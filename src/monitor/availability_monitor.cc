@@ -99,10 +99,16 @@ bool AvailabilityMonitor::PresumedDeparted(PeerId peer, sim::Round timeout,
 core::PeerObservation AvailabilityMonitor::Observe(PeerId peer,
                                                    sim::Round window,
                                                    sim::Round now) const {
+  core::PeerObservation obs = ObserveAge(peer, now);
+  obs.availability = AvailabilityOver(peer, window, now);
+  return obs;
+}
+
+core::PeerObservation AvailabilityMonitor::ObserveAge(PeerId peer,
+                                                      sim::Round now) const {
   ++query_stats_.observe_calls;
   core::PeerObservation obs;
   obs.age = Age(peer, now);
-  obs.availability = AvailabilityOver(peer, window, now);
   const sim::Round seen = LastSeen(peer, now);
   obs.rounds_since_seen = seen < 0 ? obs.age : now - seen;
   return obs;

@@ -15,7 +15,9 @@
 // (age, availability, rounds since seen) for every pooled candidate of
 // every maintenance episode. Observe computes it afresh on every call; the
 // network's per-round score memo already makes sure a peer sampled by many
-// repairing owners in one round is observed once.
+// repairing owners in one round is observed once. Estimators that never
+// read availability are served by ObserveAge, which skips the window
+// search and is counted as the same query.
 
 #ifndef P2P_MONITOR_AVAILABILITY_MONITOR_H_
 #define P2P_MONITOR_AVAILABILITY_MONITOR_H_
@@ -76,15 +78,20 @@ class AvailabilityMonitor {
   /// `window`, rounds since last seen (the peer's whole age if never seen).
   core::PeerObservation Observe(PeerId peer, sim::Round window,
                                 sim::Round now) const;
+  /// Observe without the availability search: age and rounds since last
+  /// seen as Observe reports them, availability left at 0 (not measured).
+  /// For estimators whose ReadsAvailability() is false.
+  core::PeerObservation ObserveAge(PeerId peer, sim::Round now) const;
   /// @}
 
   /// History window bound.
   sim::Round history_window() const { return history_window_; }
 
-  /// Always-on query statistics: Observe() is the placement hot path (tens
-  /// of millions of calls per grid), so instead of per-call TRACE_COUNTER
-  /// bumps it keeps plain member counters (one add each) that callers flush
-  /// into a trace session once per run (scenario.cc does).
+  /// Always-on query statistics: Observe() and ObserveAge() are the
+  /// placement hot path (tens of millions of calls per grid), so instead of
+  /// per-call TRACE_COUNTER bumps it keeps plain member counters (one add
+  /// each) that callers flush into a trace session once per run
+  /// (scenario.cc does).
   struct QueryStats {
     int64_t observe_calls = 0;
   };

@@ -276,8 +276,6 @@ util::Result<Scenario> ParseScenarioText(const std::string& text) {
         if (v.ok()) o.visibility = *v; else st = v.status();
       } else if (field == "partner_timeout") {
         st = set_round(&o.partner_timeout);
-      } else if (field == "max_partner_factor") {
-        st = set_double(&o.max_partner_factor);
       } else if (field == "acceptance_horizon") {
         st = set_round(&o.acceptance_horizon);
       } else if (field == "use_acceptance") {
@@ -452,8 +450,6 @@ std::string RenderScenarioText(const Scenario& scenario) {
   os << "options.visibility = " << backup::VisibilityModelName(o.visibility)
      << "\n";
   os << "options.partner_timeout = " << RenderDuration(o.partner_timeout)
-     << "\n";
-  os << "options.max_partner_factor = " << RenderDouble(o.max_partner_factor)
      << "\n";
   os << "options.acceptance_horizon = " << RenderDuration(o.acceptance_horizon)
      << "\n";

@@ -4,8 +4,10 @@
 // registry, and registry-backed instantiation of policies, selections, and
 // estimators).
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -249,52 +251,76 @@ TEST(SelectionTest, ScoreOutranksAgeAndAgeRefinesScoreTies) {
   EXPECT_EQ(out, (std::vector<uint32_t>{3, 1, 2}));
 }
 
-TEST(SelectionTest, PartialSortRankingMatchesStableSortReference) {
+TEST(SelectionTest, LinearTimeRankingMatchesStableSortReference) {
   // The rank strategies replaced their allocating shuffle + std::stable_sort
-  // with an in-place std::partial_sort over (score, age, post-shuffle
-  // position). Stability is exactly "ties keep prior position", so against a
-  // reference implementation that still stable_sorts the shuffled pool, the
-  // chosen ids must match element-for-element - across random pools dense
-  // in score/age ties and at every take size.
+  // with an in-place nth_element + sort of the `take` front over (score,
+  // age, post-shuffle position). Stability is exactly "ties keep prior
+  // position", so against a reference implementation that still
+  // stable_sorts the shuffled pool, the chosen ids must match element for
+  // element. Pools run up to 600 (repair pools are about 3 x 108), far past
+  // the small sizes where nth_element falls back to insertion sort; take
+  // covers the edges {0, 1, pool/3, pool-1, pool} and a request past the
+  // pool (pool+7, which must yield the whole ranked pool); both directions;
+  // and two score shapes: dense score/age ties, and every score tied at the
+  // age-rank horizon so age and the shuffled position decide everything.
+  constexpr sim::Round kHorizon = 2160;
   util::Rng fill(99);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<Candidate> pool(static_cast<size_t>(fill.UniformInt(1, 40)));
-    for (size_t i = 0; i < pool.size(); ++i) {
-      pool[i].id = static_cast<uint32_t>(i);
-      pool[i].age = fill.UniformInt(0, 3);     // many age ties
-      pool[i].score = static_cast<double>(fill.UniformInt(0, 2));  // and
-      // score ties, so the shuffled-position tie-break actually decides
-    }
-    const int d = static_cast<int>(fill.UniformInt(0, 45));
-    const bool best_first = trial % 2 == 0;
+  std::vector<size_t> sizes = {1, 2, 3, 16, 17, 40, 41, 108, 324, 599, 600};
+  for (int i = 0; i < 12; ++i) {
+    sizes.push_back(static_cast<size_t>(fill.UniformInt(1, 600)));
+  }
+  uint64_t trial = 0;
+  for (size_t size : sizes) {
+    for (bool at_horizon : {false, true}) {
+      std::vector<Candidate> base(size);
+      for (size_t i = 0; i < size; ++i) {
+        base[i].id = static_cast<uint32_t>(i);
+        if (at_horizon) {
+          base[i].age = kHorizon + fill.UniformInt(0, 30);
+          base[i].score = static_cast<double>(kHorizon);
+        } else {
+          base[i].age = fill.UniformInt(0, 3);  // many age ties
+          base[i].score = static_cast<double>(fill.UniformInt(0, 2));  // and
+          // score ties, so the shuffled-position tie-break actually decides
+        }
+      }
+      for (size_t take :
+           {size_t{0}, size_t{1}, size / 3, size - 1, size, size + 7}) {
+        for (bool best_first : {true, false}) {
+          ++trial;
+          const int d = static_cast<int>(take);
+          auto reference = base;
+          util::Rng ref_rng(1000 + trial);
+          ref_rng.Shuffle(&reference);
+          std::stable_sort(
+              reference.begin(), reference.end(),
+              [best_first](const Candidate& a, const Candidate& b) {
+                if (a.score != b.score) {
+                  return best_first ? a.score > b.score : a.score < b.score;
+                }
+                return best_first ? a.age > b.age : a.age < b.age;
+              });
+          std::vector<uint32_t> want;
+          for (size_t i = 0; i < std::min(take, size); ++i) {
+            want.push_back(reference[i].id);
+          }
 
-    auto reference = pool;
-    util::Rng ref_rng(1000 + static_cast<uint64_t>(trial));
-    ref_rng.Shuffle(&reference);
-    std::stable_sort(reference.begin(), reference.end(),
-                     [best_first](const Candidate& a, const Candidate& b) {
-                       if (a.score != b.score) {
-                         return best_first ? a.score > b.score
-                                           : a.score < b.score;
-                       }
-                       return best_first ? a.age > b.age : a.age < b.age;
-                     });
-    std::vector<uint32_t> want;
-    for (size_t i = 0;
-         i < std::min<size_t>(static_cast<size_t>(d), reference.size()); ++i) {
-      want.push_back(reference[i].id);
+          auto pool = base;
+          util::Rng rng(1000 + trial);
+          std::vector<uint32_t> got;
+          if (best_first) {
+            OldestFirstSelection().Choose(&pool, d, &rng, &got);
+          } else {
+            YoungestFirstSelection().Choose(&pool, d, &rng, &got);
+          }
+          ASSERT_EQ(got, want) << "size=" << size << " take=" << take
+                               << " at_horizon=" << at_horizon
+                               << " best_first=" << best_first;
+          // Both implementations consumed identical draws.
+          ASSERT_EQ(rng.NextU64(), ref_rng.NextU64());
+        }
+      }
     }
-
-    util::Rng rng(1000 + static_cast<uint64_t>(trial));
-    std::vector<uint32_t> got;
-    if (best_first) {
-      OldestFirstSelection().Choose(&pool, d, &rng, &got);
-    } else {
-      YoungestFirstSelection().Choose(&pool, d, &rng, &got);
-    }
-    ASSERT_EQ(got, want) << "trial " << trial << " d=" << d;
-    // Both implementations consumed identical draws: the streams agree after.
-    ASSERT_EQ(rng.NextU64(), ref_rng.NextU64());
   }
 }
 

@@ -1,16 +1,21 @@
 // Verifies the allocation-free claim of the repair hot path (README "Hot
-// path"): once the simulated world is warm - every scratch buffer, calendar
-// ring slot, and partner list at its high-water capacity - repair episodes
-// run without touching the heap. The test overrides the global allocator for
-// this binary, warms a paper-profile world, then drives the hot path both
-// directly (HotPathProbe, strict zero) and through whole engine rounds
-// (bounded residual that must not scale with episodes or draws).
+// path"): once the simulated world is warm - every scratch buffer and
+// calendar ring slot at its high-water capacity; partnership rows are fixed
+// slots allocated at construction - repair episodes run without touching
+// the heap. The test overrides the global allocator for this binary, warms
+// a paper-profile world, then drives the hot path both directly
+// (HotPathProbe, strict zero) and through whole engine rounds (bounded
+// residual that must not scale with episodes or draws). It also holds the
+// partnership store to its sizing bounds through join/exit storms.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
 #include "backup/hotpath_probe.h"
 #include "backup/network.h"
@@ -189,12 +194,74 @@ TEST(HotPathAllocTest, SteadyStateEpisodesAreAllocationFree) {
     probe.RunRepair(owner);
   }
   g_counting.store(false);
-  // Zero expected. The allowance of 2 covers the one legitimate residual:
-  // a placement can push some host's client list past its all-time high
-  // water, growing that vector. That cost is per-high-water-mark, not
-  // per-episode.
-  EXPECT_LE(g_allocs.load(), 2);
+  // Strictly zero: partnership rows are fixed-capacity slots of the flat
+  // store allocated at construction, so no placement can grow a container.
+  EXPECT_EQ(g_allocs.load(), 0);
   network.CheckInvariants();
+}
+
+// Runs a join/exit storm with observers in `visibility` mode, checking
+// invariants every round, and returns {max partner row, max client row}.
+std::pair<uint32_t, uint32_t> StormRowHighWater(VisibilityModel visibility,
+                                                size_t* partner_width,
+                                                size_t* client_width) {
+  const auto profiles = churn::ProfileSet::Paper();
+  sim::EngineOptions eopts;
+  eopts.seed = 17;
+  eopts.end_round = 900;
+  sim::Engine engine(eopts);
+  SystemOptions opts = WarmOptions();
+  opts.visibility = visibility;
+  std::vector<PopulationAdjustment> workload;
+  workload.push_back(PopulationAdjustment{200, 200, 0});
+  workload.push_back(PopulationAdjustment{350, 0, 250});
+  workload.push_back(PopulationAdjustment{500, 300, 0});
+  workload.push_back(PopulationAdjustment{700, 0, 300});
+  BackupNetwork network(&engine, &profiles, opts, workload);
+  // Observer blocks are the only ones a host takes past its quota.
+  for (int i = 0; i < 8; ++i) {
+    network.AddObserver("obs", static_cast<sim::Round>(i) * 24);
+  }
+  HotPathProbe probe(&network);
+  *partner_width = probe.partner_row_width();
+  *client_width = probe.client_row_width();
+  uint32_t max_partners = 0;
+  uint32_t max_clients = 0;
+  while (engine.Step()) {
+    network.CheckInvariants();
+    for (PeerId id = 0; id < network.total_ids(); ++id) {
+      if (!network.IsLive(id)) continue;
+      max_partners =
+          std::max(max_partners, static_cast<uint32_t>(network.AliveBlocks(id)));
+      max_clients = std::max(max_clients, probe.ClientCount(id));
+    }
+  }
+  return {max_partners, max_clients};
+}
+
+TEST(HotPathAllocTest, PartnershipRowsStayWithinCapacityThroughStorms) {
+  // The store's widths are protocol bounds, not heuristics: an owner holds
+  // at most n partners in both visibility modes, and a host at most its
+  // quota of normal clients plus one block per observer. A storm of join
+  // waves and mass exits, with observers pushing full hosts past their
+  // quota, must fill rows up to those bounds and never past them (Append
+  // aborts on overflow; CheckInvariants re-checks the partner bound and
+  // every cross-index every round).
+  const SystemOptions opts = WarmOptions();
+  const uint32_t n = static_cast<uint32_t>(opts.k + opts.m);
+  for (VisibilityModel visibility :
+       {VisibilityModel::kTimeoutPresumed, VisibilityModel::kInstantOnline}) {
+    SCOPED_TRACE(VisibilityModelName(visibility));
+    size_t partner_width = 0;
+    size_t client_width = 0;
+    const auto [max_partners, max_clients] =
+        StormRowHighWater(visibility, &partner_width, &client_width);
+    EXPECT_EQ(partner_width, n);
+    EXPECT_EQ(client_width, static_cast<size_t>(opts.quota_blocks) + 64);
+    EXPECT_EQ(max_partners, n);  // owners reach full redundancy...
+    EXPECT_GE(max_clients, static_cast<uint32_t>(opts.quota_blocks));
+    EXPECT_LE(max_clients, client_width);  // ...and hosts fill their quota
+  }
 }
 
 TEST(HotPathAllocTest, IndexMaintenanceNeverReallocates) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <vector>
 
 #include "backup/network.h"
@@ -196,6 +197,30 @@ TEST(NetworkTest, QuotaNeverExceeded) {
     ASSERT_LE(network.HostedBlocks(id), 40);
   }
   network.CheckInvariants();
+}
+
+TEST(NetworkTest, HugeQuotaAndRedundancyStayWithinThePopulation) {
+  // Validate() puts no upper bound on quota_blocks or m. The partnership
+  // rows are sized by min(bound, population), so a 64-peer world with an
+  // unbounded quota and n = 100,016 builds small rows, runs, and keeps every
+  // invariant - an owner can never hold more partners than there are peers.
+  SystemOptions opts = SmallOptions();
+  opts.num_peers = 64;
+  opts.quota_blocks = INT_MAX;
+  opts.m = 100'000;
+  const auto profiles = churn::ProfileSet::Paper();
+  sim::EngineOptions eopts;
+  eopts.end_round = 200;
+  eopts.seed = 3;
+  sim::Engine engine(eopts);
+  BackupNetwork network(&engine, &profiles, opts);
+  while (engine.Step()) network.CheckInvariants();
+  EXPECT_EQ(engine.now(), 200);
+  for (PeerId id = 0; id < opts.num_peers; ++id) {
+    if (network.IsLive(id)) {
+      ASSERT_LT(network.AliveBlocks(id), 64);
+    }
+  }
 }
 
 TEST(NetworkTest, ScarceQuotaForcesLossesOnNewcomers) {

@@ -210,6 +210,70 @@ TEST(StrategyProperty, StabilityScoreMonotoneInAgeForEveryEstimator) {
   }
 }
 
+// --- Estimator registry: age-only estimators ignore what they skip. ---
+//
+// An estimator whose ReadsAvailability() is false is scored from an
+// observation the monitor did not measure availability for (age-only
+// scoring). That is only sound if its score really ignores the field - and
+// rounds_since_seen, which no estimator reads today - so sweep every such
+// table row under drawn parameters and departure histories: changing
+// availability and rounds_since_seen at fixed age must not move the score.
+
+TEST(StrategyProperty, AgeOnlyEstimatorsIgnoreAvailability) {
+  util::Rng rng(20261017);
+  core::StrategyEnv env;
+  int age_only = 0;
+  for (const core::EstimatorDescriptor& descriptor :
+       core::Family<core::LifetimeEstimator>().strategies) {
+    SCOPED_TRACE(descriptor.name);
+    core::EstimatorSpec spec;
+    spec.name = descriptor.name;
+    auto defaults = core::MakeEstimator(spec, env);
+    ASSERT_TRUE(defaults.ok()) << defaults.status().ToString();
+    if ((*defaults)->ReadsAvailability()) continue;  // nothing to hold
+    ++age_only;
+    for (int trial = 0; trial < 50; ++trial) {
+      if (trial % 2 == 1) {
+        for (const core::ParamInfo& info : descriptor.params) {
+          const double hi = std::min(info.max_value, 4096.0);
+          if (info.type == core::ParamType::kInt) {
+            spec.params[info.name] = core::ParamValue::Int(rng.UniformInt(
+                static_cast<int64_t>(info.min_value),
+                static_cast<int64_t>(hi)));
+          } else {
+            spec.params[info.name] = core::ParamValue::Double(
+                rng.UniformDouble(info.min_value, std::min(hi, 64.0)));
+          }
+        }
+      } else {
+        spec.params.clear();
+      }
+      if (!spec.Validate().ok()) continue;
+      auto estimator = core::MakeEstimator(spec, env);
+      ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
+      ASSERT_FALSE((*estimator)->ReadsAvailability());
+      const int departures = static_cast<int>(rng.UniformInt(0, 40));
+      for (int d = 0; d < departures; ++d) {
+        (*estimator)->ObserveDeparture(rng.UniformInt(0, 200 * 24));
+      }
+      for (int probe = 0; probe < 20; ++probe) {
+        core::PeerObservation base;  // availability 0, as ObserveAge leaves it
+        base.age = rng.UniformInt(0, 400 * 24);
+        const double want = (*estimator)->StabilityScore(base);
+        core::PeerObservation varied = base;
+        varied.availability = rng.UniformDouble(0.0, 1.0);
+        varied.rounds_since_seen = rng.UniformInt(0, base.age);
+        ASSERT_EQ((*estimator)->StabilityScore(varied), want)
+            << spec.ToString() << " age=" << base.age
+            << " availability=" << varied.availability
+            << " rounds_since_seen=" << varied.rounds_since_seen;
+      }
+    }
+  }
+  // age-rank, pareto-residual and empirical-residual skip the window search.
+  EXPECT_EQ(age_only, 3);
+}
+
 // --- Metrics: replicate moments stay inside the per-cell envelope. ---
 
 TEST(MetricsProperty, AggregatedMeanLiesWithinCellRangeForEveryMetric) {

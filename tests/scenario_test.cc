@@ -383,6 +383,13 @@ TEST(TextTest, ErrorsNameLineAndToken) {
   bad = ParseScenarioText("name = x\noptions.visibility = psychic\n");
   EXPECT_NE(bad.status().message().find("psychic"), std::string::npos);
 
+  // The instant-mode partner cap is gone (an owner never holds more than n
+  // partners in either mode); scenario text still naming it is rejected.
+  bad = ParseScenarioText("name = x\noptions.max_partner_factor = 2\n");
+  EXPECT_TRUE(bad.status().IsInvalidArgument());
+  EXPECT_NE(bad.status().message().find("max_partner_factor"),
+            std::string::npos);
+
   // Strategy specs: unknown names and bad parameters fail loudly, naming
   // the token - the silent-fallback FromName era is over.
   bad = ParseScenarioText("name = x\noptions.policy = psychic-repair\n");

@@ -278,10 +278,6 @@ TEST(SystemOptionsTest, ValidateRejectsBadKnobs) {
   options = backup::SystemOptions();
   options.partner_timeout = -3;
   EXPECT_TRUE(options.Validate().IsInvalidArgument());
-
-  options = backup::SystemOptions();
-  options.max_partner_factor = 0.5;
-  EXPECT_TRUE(options.Validate().IsInvalidArgument());
 }
 
 TEST(SystemOptionsTest, ExplicitPolicyThresholdsRespectTheCodeGeometry) {
