@@ -465,7 +465,6 @@ int main(int argc, char** argv) {
     cell.repair_thresholds = {cell.repair_thresholds.front()};
     cell.base.peers = 400;
     cell.base.rounds = 300;
-    cell.base.options.transfer_enabled = true;
     cell.base.options.transfer_link = doc.transfer_link;
     trace::TraceSession tsession(topts);
     tsession.Install();

@@ -226,10 +226,7 @@ int main(int argc, char** argv) {
       !ApplyOverride("estimator", estimator_spec, &s.options.estimator)) {
     return 1;
   }
-  if (!transfer_link.empty()) {
-    s.options.transfer_enabled = true;
-    s.options.transfer_link = transfer_link;
-  }
+  if (!transfer_link.empty()) s.options.transfer_link = transfer_link;
   if (auto st = s.Validate(); !st.ok()) {
     std::cerr << "scenario '" << s.name << "': " << st.ToString() << "\n";
     return 1;

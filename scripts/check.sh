@@ -88,6 +88,35 @@ for scenario in "${scenarios[@]}"; do
     --transfer=dsl-2009 --brief
 done
 
+smoke_dir="$(mktemp -d)"
+trap 'rm -rf "${smoke_dir}"' EXIT
+
+# The same link named by the scenario-text key instead of the flag: the key
+# alone turns the scheduler on, and the canonical form carries only the
+# link. At 2000 rounds the transfer run differs from the instant one, so
+# matching the flag run's summary shows the key took effect.
+echo "-- scenario: paper (transfer.link = dsl-2009 in the file)"
+transfer_file="${smoke_dir}/paper-dsl.scenario"
+./build/scenario_tool show paper > "${transfer_file}"
+echo "transfer.link = dsl-2009" >> "${transfer_file}"
+./build/scenario_tool show "${transfer_file}" > "${smoke_dir}/canonical"
+grep -q '^transfer\.link = dsl-2009$' "${smoke_dir}/canonical"
+if grep -q '^transfer\.enabled' "${smoke_dir}/canonical"; then
+  echo "error: canonical scenario text still renders transfer.enabled" >&2
+  exit 1
+fi
+strip_wall() { sed 's/ wall_ms=[0-9]*//'; }
+from_file="$(./build/scenario_tool run "${transfer_file}" --peers=500 \
+  --rounds=2000 --check --brief | strip_wall)"
+from_flag="$(./build/scenario_tool run paper --peers=500 --rounds=2000 \
+  --transfer=dsl-2009 --brief | strip_wall)"
+echo "${from_file}"
+if [[ "${from_file}" != "${from_flag}" ]]; then
+  echo "error: transfer.link in the file ran differently from --transfer:" >&2
+  echo "  flag: ${from_flag}" >&2
+  exit 1
+fi
+
 echo
 echo "== instant smoke: every registered scenario in instant visibility, invariant-checked =="
 # The loops above all run the scenarios' own (timeout) visibility. Instant
@@ -95,11 +124,9 @@ echo "== instant smoke: every registered scenario in instant visibility, invaria
 # and replaces unreachable partners on repair, under the same bound of n
 # partners per owner. Render each scenario, switch it to instant mode, and
 # run it past the day-30..100 workload events.
-instant_dir="$(mktemp -d)"
-trap 'rm -rf "${instant_dir}"' EXIT
 for scenario in "${scenarios[@]}"; do
   echo "-- scenario: ${scenario} (visibility=instant)"
-  instant_file="${instant_dir}/${scenario}.scenario"
+  instant_file="${smoke_dir}/${scenario}.scenario"
   ./build/scenario_tool show "${scenario}" \
     | sed 's/^options\.visibility = .*/options.visibility = instant/' \
     > "${instant_file}"

@@ -15,8 +15,8 @@ namespace {
 constexpr uint64_t kChurnStream = 0x11;
 constexpr uint64_t kPlacementStream = 0x22;
 
-// Upper bound on observers; sizes the id space above num_peers.
-constexpr uint32_t kMaxObservers = 64;
+// Loss-rate EMA time constant for the adaptive and proactive policies.
+constexpr double kLossRateTau = 14 * sim::kRoundsPerDay;
 
 // Archive size for the transfer scheduler's cost model (paper 2.2.4:
 // "a typical data amount of 128 MB per archive").
@@ -51,9 +51,7 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
       churn_rng_(engine->Stream(kChurnStream)),
       place_rng_(engine->Stream(kPlacementStream)),
       monitor_(normal_slots_ + kMaxObservers),
-      collector_(normal_slots_ + kMaxObservers,
-                 options.sample_interval > 0 ? options.sample_interval
-                                             : sim::kRoundsPerDay) {
+      collector_(normal_slots_ + kMaxObservers) {
   const util::Status valid = options.Validate();
   if (!valid.ok()) {
     P2P_LOG_ERROR("invalid SystemOptions: %s", valid.ToString().c_str());
@@ -92,7 +90,7 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
   estimator_ = std::move(*estimator);
   flag_level_ = policy_->FlagLevel(options.k, n_total);
 
-  if (options_.transfer_enabled) {
+  if (!options_.transfer_link.empty()) {
     const util::Result<transfer::LinkProfile> link =
         transfer::FindLinkProfile(options_.transfer_link);
     P2P_CHECK(link.ok());  // Validate() vetted the name above
@@ -680,10 +678,8 @@ void BackupNetwork::RunRepair(PeerId id, sim::Round now) {
     }
   }
 
-  int needed = p.episode_target - static_cast<int>(partners_[id].size());
-  if (needed > 0 && options_.max_blocks_per_round > 0) {
-    needed = std::min(needed, options_.max_blocks_per_round);
-  }
+  const int needed =
+      p.episode_target - static_cast<int>(partners_[id].size());
   if (needed > 0) {
     TRACE_SCOPE("repair/place");
     // Member scratch, not locals: a steady-state episode must not allocate
@@ -770,10 +766,8 @@ int BackupNetwork::BuildPool(PeerId owner, int needed,
                              std::vector<core::Candidate>* pool) {
   TRACE_SCOPE("repair/pool");
   pool->clear();
-  const int target_pool = std::max(
-      needed, static_cast<int>(std::ceil(options_.pool_factor * needed)));
-  const int64_t max_draws =
-      static_cast<int64_t>(options_.sample_attempt_factor) * target_pool;
+  const int target_pool = kPoolFactor * needed;
+  const int64_t max_draws = int64_t{kDrawBudget} * target_pool;
   const sim::Round now = engine_->now();
   const sim::Round owner_age = AgeOf(owner);
   const sim::Round owner_market_age = MarketAge(owner);  // round-constant
@@ -911,17 +905,17 @@ int BackupNetwork::BuildPool(PeerId owner, int needed,
 
 void BackupNetwork::BumpLossRate(PeerId id, int events, sim::Round now) {
   PeerState& p = peers_[id];
-  const double tau = static_cast<double>(options_.loss_rate_tau);
   const double decay =
-      std::exp(-static_cast<double>(now - p.loss_rate_at) / tau);
-  p.loss_rate = p.loss_rate * decay + static_cast<double>(events) / tau;
+      std::exp(-static_cast<double>(now - p.loss_rate_at) / kLossRateTau);
+  p.loss_rate =
+      p.loss_rate * decay + static_cast<double>(events) / kLossRateTau;
   p.loss_rate_at = now;
 }
 
 double BackupNetwork::ReadLossRate(PeerId id, sim::Round now) const {
   const PeerState& p = peers_[id];
-  const double tau = static_cast<double>(options_.loss_rate_tau);
-  return p.loss_rate * std::exp(-static_cast<double>(now - p.loss_rate_at) / tau);
+  return p.loss_rate *
+         std::exp(-static_cast<double>(now - p.loss_rate_at) / kLossRateTau);
 }
 
 sim::Round BackupNetwork::AgeOf(PeerId id) const {

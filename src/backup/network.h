@@ -85,6 +85,18 @@ struct HotPathProbe;
 /// allocations, and estimator scores are memoized per (peer, round).
 class BackupNetwork {
  public:
+  /// Candidate pool size as a multiple of the blocks needed ("once the pool
+  /// is big enough"); the selection strategy then picks from the pool.
+  static constexpr int kPoolFactor = 3;
+  /// Candidate draws per pool slot before an episode gives up for the
+  /// round. A draw never lands on a dead, offline or duplicate id, so in
+  /// practice the eligible set runs dry first; this caps the quota-market
+  /// and acceptance rejections of one episode.
+  static constexpr int kDrawBudget = 8;
+  /// Observers one network holds at most; sizes the id space above the
+  /// normal slots (Scenario::Validate rejects longer observer lists).
+  static constexpr uint32_t kMaxObservers = 64;
+
   /// Wires the network into `engine` (registers the round hook). The engine
   /// and profile set must outlive the network. `workload` is an optional
   /// round-sorted list of population perturbations (join waves, correlated
@@ -187,9 +199,9 @@ class BackupNetwork {
   uint32_t candidate_online_count() const { return cand_online_; }
   /// @}
 
-  /// The transfer scheduler when `options.transfer_enabled`, else null
-  /// (instant mode). Stats are flushed to trace counters by the scenario
-  /// layer.
+  /// The transfer scheduler when `options.transfer_link` names a link, else
+  /// null (instant repairs). Stats are flushed to trace counters by the
+  /// scenario layer.
   const transfer::TransferScheduler* transfer() const {
     return transfer_.get();
   }
@@ -316,7 +328,7 @@ class BackupNetwork {
   void ProcessRepairs(sim::Round now);
   void RunRepair(PeerId id, sim::Round now);
 
-  // --- transfer scheduling (transfer_enabled only) ---
+  // --- transfer scheduling (a transfer link is set) ---
   /// Advances the scheduler one round and applies completions.
   void ProcessTransfers(sim::Round now);
   /// A job's last byte moved: clear the repair flag, record metrics, re-flag

@@ -1,5 +1,7 @@
 #include "backup/options.h"
 
+#include <climits>
+#include <cstdint>
 #include <string>
 
 #include "core/strategy_registry.h"
@@ -50,6 +52,11 @@ util::Status SystemOptions::Validate() const {
   if (m < 0) {
     return Invalid("m must be >= 0, got " + std::to_string(m));
   }
+  if (m > INT_MAX - k) {
+    // Every block count derives from n = k + m, so n must fit an int.
+    return Invalid("k + m must be <= " + std::to_string(INT_MAX) + ", got " +
+                   std::to_string(int64_t{k} + m));
+  }
   if (repair_threshold < k || repair_threshold > k + m) {
     return Invalid("repair_threshold " + std::to_string(repair_threshold) +
                    " outside [k, k + m] = [" + std::to_string(k) + ", " +
@@ -66,36 +73,11 @@ util::Status SystemOptions::Validate() const {
   if (acceptance_horizon < 1) {
     return Invalid("acceptance_horizon must be >= 1 round");
   }
-  if (pool_factor <= 0.0) {
-    return Invalid("pool_factor must be positive");
-  }
-  if (sample_attempt_factor < 1) {
-    return Invalid("sample_attempt_factor must be >= 1");
-  }
-  if (max_blocks_per_round < 0) {
-    return Invalid("max_blocks_per_round must be >= 0 (0 = unlimited)");
-  }
   if (departure_grace < 0) {
     return Invalid("departure_grace must be >= 0 rounds");
   }
-  if (loss_rate_tau < 1) {
-    // A non-positive EMA time constant divides by zero in the loss-rate
-    // decay; name the value so sweep errors point at the offending cell.
-    return Invalid("loss_rate_tau must be >= 1 round, got " +
-                   std::to_string(loss_rate_tau));
-  }
-  if (sample_interval < 1) {
-    // sample_interval <= 0 would stall the series sampler (next_sample_
-    // never advances past now).
-    return Invalid("sample_interval must be >= 1 round, got " +
-                   std::to_string(sample_interval));
-  }
-  // The link name must resolve even when transfers are disabled, so a sweep
-  // with a link axis fails at expansion rather than mid-run.
-  if (util::Result<transfer::LinkProfile> link =
-          transfer::FindLinkProfile(transfer_link);
-      !link.ok()) {
-    return link.status();
+  if (!transfer_link.empty()) {
+    P2P_RETURN_IF_ERROR(transfer::FindLinkProfile(transfer_link).status());
   }
   // Strategy specs: name must be in the family's table, parameters typed
   // and in range, thresholds inside the code geometry.
@@ -115,14 +97,8 @@ bool operator==(const SystemOptions& a, const SystemOptions& b) {
          a.acceptance_horizon == b.acceptance_horizon &&
          a.use_acceptance == b.use_acceptance && a.selection == b.selection &&
          a.policy == b.policy && a.estimator == b.estimator &&
-         a.pool_factor == b.pool_factor &&
-         a.sample_attempt_factor == b.sample_attempt_factor &&
-         a.max_blocks_per_round == b.max_blocks_per_round &&
          a.quota_market == b.quota_market &&
          a.departure_grace == b.departure_grace &&
-         a.loss_rate_tau == b.loss_rate_tau &&
-         a.sample_interval == b.sample_interval &&
-         a.transfer_enabled == b.transfer_enabled &&
          a.transfer_link == b.transfer_link;
 }
 

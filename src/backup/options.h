@@ -1,5 +1,8 @@
 // Configuration of the simulated peer-to-peer backup system. Defaults are
-// the paper's evaluation parameters (sections 2.2.4 and 4.1).
+// the paper's evaluation parameters (sections 2.2.4 and 4.1). Only what a
+// run may vary is an option; the protocol's fixed constants (candidate pool
+// factor and draw budget, loss-rate time constant, one-day series interval)
+// live with the code that uses them (BackupNetwork, metrics::Collector).
 
 #ifndef P2P_BACKUP_OPTIONS_H_
 #define P2P_BACKUP_OPTIONS_H_
@@ -83,21 +86,6 @@ struct SystemOptions {
   /// `acceptance_horizon` above.
   core::EstimatorSpec estimator;
 
-  /// Candidate pool size as a multiple of the blocks needed ("once the pool
-  /// is big enough"); the selection strategy then picks from the pool.
-  double pool_factor = 3.0;
-
-  /// Bound on candidate draws per pool slot before giving up for the
-  /// round. Since the eligible-candidate index landed a draw is never
-  /// wasted on a dead/offline/duplicate id, so in practice the eligible
-  /// set runs dry (index_exhausted) before this budget does; it remains
-  /// the hard cap on quota-market/acceptance rejections per episode.
-  int sample_attempt_factor = 8;
-
-  /// Cap on blocks uploaded per owner per round; 0 = unlimited. The paper
-  /// models a full repair (d < 128) as fitting in one round.
-  int max_blocks_per_round = 0;
-
   /// Tit-for-tat quota market (paper 6: the scheme "may also be considered
   /// as a kind of tit-for-tat protocol"): a host whose quota is full still
   /// accepts a block from a peer older than its youngest current client, by
@@ -111,28 +99,19 @@ struct SystemOptions {
   /// of its blocks (paper default: 0 = "blocks are immediately removed").
   sim::Round departure_grace = 0;
 
-  /// Loss-rate EMA time constant for adaptive/proactive policies.
-  sim::Round loss_rate_tau = 14 * sim::kRoundsPerDay;
-
-  /// Sampling interval of the result time series.
-  sim::Round sample_interval = sim::kRoundsPerDay;
-
-  /// Bandwidth-constrained transfer scheduling (section 2.2.4). When false
-  /// (the default, locked byte-identical by the goldens) repairs complete
-  /// instantaneously as before; when true each repair episode becomes a
-  /// queued multi-round transfer job on `transfer_link` and the repair flag
-  /// clears only when the job's last byte moves.
-  bool transfer_enabled = false;
-
-  /// Link profile name for the transfer scheduler (see transfer/link.h:
-  /// "dsl-2009", "dsl-modern", "ftth").
-  std::string transfer_link = "dsl-2009";
+  /// Bandwidth-constrained transfer scheduling (section 2.2.4): the link
+  /// profile repairs run on (see transfer/link.h: "dsl-2009", "dsl-modern",
+  /// "ftth"). Empty (the default, locked byte-identical by the goldens)
+  /// means repairs complete instantaneously; a named link turns each repair
+  /// episode into a queued multi-round transfer job on that link, and the
+  /// repair flag clears only when the job's last byte moves.
+  std::string transfer_link;
 
   /// Checks every knob for consistency: the repair threshold must lie in
-  /// [k, k + m], counts must be positive, timeouts and factors sane. The
-  /// BackupNetwork constructor calls this and refuses to run on a bad
-  /// configuration, so sweeps fail fast at expansion instead of silently
-  /// simulating nonsense.
+  /// [k, k + m], counts must be positive, timeouts sane, a named transfer
+  /// link registered. The BackupNetwork constructor calls this and refuses
+  /// to run on a bad configuration, so sweeps fail fast at expansion
+  /// instead of silently simulating nonsense.
   util::Status Validate() const;
 };
 

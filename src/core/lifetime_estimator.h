@@ -26,7 +26,6 @@
 #define P2P_CORE_LIFETIME_ESTIMATOR_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/clock.h"
@@ -69,9 +68,6 @@ class LifetimeEstimator {
   /// for it); the property suite checks that such a score ignores both
   /// availability and rounds_since_seen.
   virtual bool ReadsAvailability() const { return true; }
-
-  /// Display name.
-  virtual std::string name() const = 0;
 };
 
 /// The paper's criterion: score = min(age, L). Peers older than the horizon
@@ -82,7 +78,6 @@ class AgeRankEstimator : public LifetimeEstimator {
   double StabilityScore(const PeerObservation& obs) const override;
   double ExpectedResidualRounds(const PeerObservation& obs) const override;
   bool ReadsAvailability() const override { return false; }
-  std::string name() const override { return "age-rank"; }
 
  private:
   sim::Round horizon_;
@@ -97,7 +92,6 @@ class ParetoResidualEstimator : public LifetimeEstimator {
   double StabilityScore(const PeerObservation& obs) const override;
   double ExpectedResidualRounds(const PeerObservation& obs) const override;
   bool ReadsAvailability() const override { return false; }
-  std::string name() const override { return "pareto-residual"; }
 
  private:
   double scale_;
@@ -119,7 +113,6 @@ class EmpiricalResidualEstimator : public LifetimeEstimator {
   double ExpectedResidualRounds(const PeerObservation& obs) const override;
   void ObserveDeparture(sim::Round age_at_departure) override;
   bool ReadsAvailability() const override { return false; }
-  std::string name() const override { return "empirical-residual"; }
 
   /// Departures observed so far (tests, reports).
   int64_t observed_departures() const { return total_; }
@@ -153,7 +146,6 @@ class AvailabilityWeightedEstimator : public LifetimeEstimator {
                                 double floor);
   double StabilityScore(const PeerObservation& obs) const override;
   double ExpectedResidualRounds(const PeerObservation& obs) const override;
-  std::string name() const override { return "availability-weighted"; }
 
  private:
   double Weight(double availability) const;

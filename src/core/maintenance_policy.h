@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <string>
 
 #include "sim/clock.h"
 
@@ -51,9 +50,6 @@ class MaintenancePolicy {
   /// this level, so per-event flagging stays cheap. Must be an upper bound
   /// over every reachable context.
   virtual int FlagLevel(int k, int n) const = 0;
-
-  /// Display name.
-  virtual std::string name() const = 0;
 };
 
 /// Repair when alive < threshold; restore to n. The paper's policy.
@@ -62,7 +58,6 @@ class FixedThresholdPolicy : public MaintenancePolicy {
   explicit FixedThresholdPolicy(int threshold);
   MaintenanceDecision Evaluate(const MaintenanceContext& ctx) const override;
   int FlagLevel(int /*k*/, int /*n*/) const override { return threshold_; }
-  std::string name() const override { return "fixed-threshold"; }
   int threshold() const { return threshold_; }
 
  private:
@@ -87,7 +82,6 @@ class AdaptiveThresholdPolicy : public MaintenancePolicy {
   int FlagLevel(int k, int /*n*/) const override {
     return k + options_.ceiling_margin;
   }
-  std::string name() const override { return "adaptive-threshold"; }
 
  private:
   Options options_;
@@ -109,7 +103,6 @@ class ProactivePolicy : public MaintenancePolicy {
   int FlagLevel(int /*k*/, int n) const override {
     return std::max(options_.emergency_threshold, n - options_.batch_blocks + 1);
   }
-  std::string name() const override { return "proactive"; }
 
  private:
   Options options_;
@@ -136,7 +129,6 @@ class AdaptiveRedundancyPolicy : public MaintenancePolicy {
   int FlagLevel(int /*k*/, int /*n*/) const override {
     return options_.threshold;
   }
-  std::string name() const override { return "adaptive-redundancy"; }
 
  private:
   Options options_;

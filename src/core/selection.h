@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/clock.h"
@@ -47,9 +46,6 @@ class SelectionStrategy {
   /// selection order). May reorder `pool`. `rng` breaks ties / randomizes.
   virtual void Choose(std::vector<Candidate>* pool, int d, util::Rng* rng,
                       std::vector<uint32_t>* out) const = 0;
-
-  /// Display name.
-  virtual std::string name() const = 0;
 };
 
 /// Sorts by estimator score descending (age refines score ties, the rest
@@ -59,7 +55,6 @@ class OldestFirstSelection : public SelectionStrategy {
  public:
   void Choose(std::vector<Candidate>* pool, int d, util::Rng* rng,
               std::vector<uint32_t>* out) const override;
-  std::string name() const override { return "oldest-first"; }
 };
 
 /// Uniform random selection from the pool.
@@ -67,7 +62,6 @@ class RandomSelection : public SelectionStrategy {
  public:
   void Choose(std::vector<Candidate>* pool, int d, util::Rng* rng,
               std::vector<uint32_t>* out) const override;
-  std::string name() const override { return "random"; }
 };
 
 /// Sorts by score ascending; the pessimal counterpart of the paper's scheme.
@@ -75,7 +69,6 @@ class YoungestFirstSelection : public SelectionStrategy {
  public:
   void Choose(std::vector<Candidate>* pool, int d, util::Rng* rng,
               std::vector<uint32_t>* out) const override;
-  std::string name() const override { return "youngest-first"; }
 };
 
 /// Age-weighted random selection: candidate i is drawn with probability
@@ -89,7 +82,6 @@ class WeightedRandomSelection : public SelectionStrategy {
   explicit WeightedRandomSelection(double age_exponent);
   void Choose(std::vector<Candidate>* pool, int d, util::Rng* rng,
               std::vector<uint32_t>* out) const override;
-  std::string name() const override { return "weighted-random"; }
   double age_exponent() const { return age_exponent_; }
 
  private:

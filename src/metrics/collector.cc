@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace p2p {
 namespace metrics {
 namespace {
@@ -15,15 +13,12 @@ constexpr int kEpisodeHistogramBins = 4096;
 
 }  // namespace
 
-Collector::Collector(uint32_t id_capacity, sim::Round sample_interval)
-    : sample_interval_(sample_interval),
-      flag_round_(id_capacity, -1),
+Collector::Collector(uint32_t id_capacity)
+    : flag_round_(id_capacity, -1),
       repair_duration_hist_(0.0, kEpisodeHistogramCap, kEpisodeHistogramBins),
       backup_duration_hist_(0.0, kEpisodeHistogramCap, kEpisodeHistogramBins),
       restore_duration_hist_(0.0, kEpisodeHistogramCap, kEpisodeHistogramBins),
-      bandwidth_series_(sample_interval) {
-  P2P_CHECK(sample_interval_ > 0);
-}
+      bandwidth_series_(kSampleInterval) {}
 
 void Collector::OnDeparture(uint32_t id, AgeCategory c) {
   ++departures_;
@@ -88,7 +83,7 @@ void Collector::OnPartnershipEnded(sim::Round lifetime) {
 void Collector::OnRoundTick(sim::Round now) {
   accounting_.AccumulateRound();
   if (now < next_sample_) return;
-  next_sample_ = now + sample_interval_;
+  next_sample_ = now + kSampleInterval;
   CategorySample sample;
   sample.round = now;
   for (int c = 0; c < kCategoryCount; ++c) {
@@ -118,7 +113,7 @@ size_t Collector::AddObserver(std::string name, sim::Round frozen_age) {
   ObserverResult r;
   r.name = std::move(name);
   r.frozen_age = frozen_age;
-  r.cumulative_repairs = TimeSeries(sample_interval_);
+  r.cumulative_repairs = TimeSeries(kSampleInterval);
   observers_.push_back(std::move(r));
   return observers_.size() - 1;
 }

@@ -70,9 +70,12 @@ struct ProbeValues {
 /// \brief Owns all result state of one run; fed by BackupNetwork.
 class Collector {
  public:
+  /// Rounds between two samples of the time series: one day.
+  static constexpr sim::Round kSampleInterval = sim::kRoundsPerDay;
+
   /// `id_capacity` bounds the peer-id space (open repair episodes are
-  /// tracked per id); `sample_interval` paces the time series.
-  Collector(uint32_t id_capacity, sim::Round sample_interval);
+  /// tracked per id).
+  explicit Collector(uint32_t id_capacity);
 
   /// \name Instrumentation interface (the network emits these).
   /// @{
@@ -146,7 +149,6 @@ class Collector {
   RunReport BuildReport(sim::Round end_round) const;
 
  private:
-  sim::Round sample_interval_;
   sim::Round next_sample_ = 0;
 
   CategoryAccounting accounting_;

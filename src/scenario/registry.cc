@@ -71,7 +71,6 @@ Scenario FlashCrowdDsl() {
   // the feasibility ceiling of section 2.2.4 made visible.
   s.workload.events.push_back(
       WorkloadEvent::FlashCrowd(sim::DaysToRounds(100), 0.5));
-  s.options.transfer_enabled = true;
   s.options.transfer_link = "dsl-2009";
   return s;
 }

@@ -17,6 +17,14 @@ util::Status Scenario::Validate() const {
   }
   P2P_RETURN_IF_ERROR(metrics::ResolveMetricSelection(metrics).status());
   P2P_RETURN_IF_ERROR(population.Validate());
+  if (observers.size() > backup::BackupNetwork::kMaxObservers) {
+    // Name the first key past the limit, as the text format writes it.
+    const std::string limit =
+        std::to_string(backup::BackupNetwork::kMaxObservers);
+    return util::Status::InvalidArgument(
+        "observer." + limit + ": at most " + limit +
+        " observers per scenario, got " + std::to_string(observers.size()));
+  }
   backup::SystemOptions resolved = options;
   resolved.num_peers = peers;
   P2P_RETURN_IF_ERROR(resolved.Validate());

@@ -46,9 +46,9 @@ struct Scenario {
   /// it can never perturb the simulation itself.
   std::vector<std::string> metrics;
 
-  /// Checks scale, population, workload feasibility, metric selection, and
-  /// system options (with `peers` substituted for options.num_peers, as
-  /// RunScenario does).
+  /// Checks scale, population, workload feasibility, metric selection, the
+  /// observer count, and system options (with `peers` substituted for
+  /// options.num_peers, as RunScenario does).
   util::Status Validate() const;
 };
 

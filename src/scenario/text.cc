@@ -1,5 +1,6 @@
 #include "scenario/text.h"
 
+#include <climits>
 #include <fstream>
 #include <map>
 #include <set>
@@ -242,17 +243,16 @@ util::Result<Scenario> ParseScenarioText(const std::string& text) {
       auto set_int = [&](int* dst) {
         auto v = ParseInt(value, field);
         if (!v.ok()) return v.status();
+        if (*v < INT_MIN || *v > INT_MAX) {
+          return util::Status::InvalidArgument(
+              key + " outside [" + std::to_string(INT_MIN) + ", " +
+              std::to_string(INT_MAX) + "]: '" + value + "'");
+        }
         *dst = static_cast<int>(*v);
         return util::Status::OK();
       };
       auto set_round = [&](sim::Round* dst) {
         auto v = ParseDuration(value);
-        if (!v.ok()) return v.status();
-        *dst = *v;
-        return util::Status::OK();
-      };
-      auto set_double = [&](double* dst) {
-        auto v = ParseDouble(value, field);
         if (!v.ok()) return v.status();
         *dst = *v;
         return util::Status::OK();
@@ -289,29 +289,16 @@ util::Result<Scenario> ParseScenarioText(const std::string& text) {
       } else if (field == "estimator") {
         auto v = core::EstimatorSpec::Parse(value);
         if (v.ok()) o.estimator = *v; else st = v.status();
-      } else if (field == "pool_factor") {
-        st = set_double(&o.pool_factor);
-      } else if (field == "sample_attempt_factor") {
-        st = set_int(&o.sample_attempt_factor);
-      } else if (field == "max_blocks_per_round") {
-        st = set_int(&o.max_blocks_per_round);
       } else if (field == "quota_market") {
         st = set_bool(&o.quota_market);
       } else if (field == "departure_grace") {
         st = set_round(&o.departure_grace);
-      } else if (field == "loss_rate_tau") {
-        st = set_round(&o.loss_rate_tau);
-      } else if (field == "sample_interval") {
-        st = set_round(&o.sample_interval);
       } else if (field == "num_peers") {
         st = util::Status::InvalidArgument(
             "population size is the top-level 'peers' key");
       } else {
         st = util::Status::InvalidArgument("unknown option '" + field + "'");
       }
-    } else if (key == "transfer.enabled") {
-      auto v = ParseBool(value);
-      if (v.ok()) scenario.options.transfer_enabled = *v; else st = v.status();
     } else if (key == "transfer.link") {
       scenario.options.transfer_link = value;
     } else if (key.rfind("profile.", 0) == 0) {
@@ -457,21 +444,14 @@ std::string RenderScenarioText(const Scenario& scenario) {
   os << "options.selection = " << o.selection.ToString() << "\n";
   os << "options.policy = " << o.policy.ToString() << "\n";
   os << "options.estimator = " << o.estimator.ToString() << "\n";
-  os << "options.pool_factor = " << RenderDouble(o.pool_factor) << "\n";
-  os << "options.sample_attempt_factor = " << o.sample_attempt_factor << "\n";
-  os << "options.max_blocks_per_round = " << o.max_blocks_per_round << "\n";
   os << "options.quota_market = " << RenderBool(o.quota_market) << "\n";
   os << "options.departure_grace = " << RenderDuration(o.departure_grace)
      << "\n";
-  os << "options.loss_rate_tau = " << RenderDuration(o.loss_rate_tau) << "\n";
-  os << "options.sample_interval = " << RenderDuration(o.sample_interval)
-     << "\n";
 
-  // Transfer scheduling: emitted when non-default, so the canonical form of
-  // an instant-mode scenario is byte-identical to the pre-transfer format.
-  if (o.transfer_enabled || o.transfer_link != "dsl-2009") {
+  // Transfer scheduling: emitted only when a link is set, so the canonical
+  // form of an instant-repair scenario carries no transfer section.
+  if (!o.transfer_link.empty()) {
     os << "\n";
-    os << "transfer.enabled = " << RenderBool(o.transfer_enabled) << "\n";
     os << "transfer.link = " << o.transfer_link << "\n";
   }
 

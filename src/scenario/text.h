@@ -17,16 +17,18 @@
 //   event.0.at = 100d
 //   event.0.fraction = 0.5
 //   observer.0.name = elder-3m         # observers indexed from 0
-//   observer.0.age = 3mo
+//   observer.0.age = 3mo               # at most 64 observers
+//   transfer.link = dsl-2009           # turns on the transfer scheduler
 //   metrics.select = repairs,losses,repair_bandwidth   # report columns
 //                                      # (registered probe names; omitted =
 //                                      # the default set)
 //
 // Omitted keys keep the Scenario defaults (omitting every profile.* key
-// keeps the paper population). Unknown and duplicate keys are errors that
-// name the line. Render() emits the canonical full form - every key, fixed
-// order - and Parse(Render(s)) == s exactly (a golden file plus round-trip
-// tests over the whole registry lock this).
+// keeps the paper population). Unknown and duplicate keys, and integer
+// options outside the 32-bit range, are errors that name the line.
+// Render() emits the canonical full form - every key, fixed order, the
+// transfer link only when set - and Parse(Render(s)) == s exactly (a golden
+// file plus round-trip tests over the whole registry lock this).
 
 #ifndef P2P_SCENARIO_TEXT_H_
 #define P2P_SCENARIO_TEXT_H_

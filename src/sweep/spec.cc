@@ -1,6 +1,9 @@
 #include "sweep/spec.h"
 
+#include <functional>
+
 #include "metrics/registry.h"
+#include "transfer/link.h"
 #include "util/rng.h"
 
 namespace p2p {
@@ -20,45 +23,133 @@ std::string JoinCoords(
   return out;
 }
 
-// Resolves the named-scenario axis to full scenarios, in axis order.
-util::Result<std::vector<Scenario>> ResolveWorlds(
-    const std::vector<std::string>& names) {
-  std::vector<Scenario> worlds;
-  worlds.reserve(names.size());
-  for (const std::string& name : names) {
-    util::Result<Scenario> world = scenario::LoadScenario(name);
-    if (!world.ok()) {
-      return util::Status::InvalidArgument("scenario axis: " +
-                                           world.status().message());
-    }
-    worlds.push_back(std::move(*world));
-  }
-  return worlds;
+// One active axis of the grid: its coordinate token and its points. A point
+// is the coordinate value a cell reports plus the edit that applies it to
+// the cell's scenario. The axes edit disjoint fields, so a cell is valid
+// exactly when each of its points is valid on the base.
+struct Axis {
+  struct Point {
+    std::string value;
+    std::function<void(Scenario*)> edit;
+  };
+  std::string token;
+  std::string error_context;  // prefixed to a point's validation error
+  std::vector<Point> points;
+};
+
+// The edit that sets one SystemOptions field to `value`.
+template <typename T>
+std::function<void(Scenario*)> SetOption(T backup::SystemOptions::*field,
+                                         T value) {
+  return [field, value](Scenario* s) { s->options.*field = value; };
 }
 
-// Resolves a strategy axis to parsed specs; errors name the axis and token.
+// Appends an axis over `items` unless it is empty (an empty axis keeps the
+// base value). `resolve` turns one item into its point or an error.
+template <typename T, typename Resolve>
+util::Status AddAxis(const char* token, const std::vector<T>& items,
+                     Resolve resolve, std::vector<Axis>* axes,
+                     const char* error_context = "") {
+  if (items.empty()) return util::Status::OK();
+  Axis axis{token, error_context, {}};
+  axis.points.reserve(items.size());
+  for (const T& item : items) {
+    P2P_ASSIGN_OR_RETURN(Axis::Point point, resolve(item));
+    axis.points.push_back(std::move(point));
+  }
+  axes->push_back(std::move(axis));
+  return util::Status::OK();
+}
+
+// A strategy axis: each token is parsed against its family's table (errors
+// name the axis and token); coordinates carry the canonical spec form.
 template <typename Spec>
-util::Result<std::vector<Spec>> ResolveStrategies(
-    const std::vector<std::string>& tokens, const std::string& axis) {
-  std::vector<Spec> specs;
-  specs.reserve(tokens.size());
-  for (const std::string& token : tokens) {
-    util::Result<Spec> parsed = Spec::Parse(token);
-    if (!parsed.ok()) {
-      return util::Status::InvalidArgument(axis + " axis: " +
-                                           parsed.status().message());
-    }
-    specs.push_back(std::move(*parsed));
-  }
-  return specs;
+util::Status AddStrategyAxis(const char* token,
+                             const std::vector<std::string>& items,
+                             Spec backup::SystemOptions::*field,
+                             std::vector<Axis>* axes,
+                             const char* error_context = "") {
+  return AddAxis(
+      token, items,
+      [&](const std::string& item) -> util::Result<Axis::Point> {
+        util::Result<Spec> parsed = Spec::Parse(item);
+        if (!parsed.ok()) {
+          return util::Status::InvalidArgument(std::string(token) + " axis: " +
+                                               parsed.status().message());
+        }
+        return Axis::Point{parsed->ToString(), SetOption(field, *parsed)};
+      },
+      axes, error_context);
 }
 
-// Everything Validate() checks, given the already-resolved scenario and
-// policy axes (shared with Expand() so each axis is resolved - and any files
-// parsed - exactly once per expansion).
+// Every active axis of `spec` in expansion order, resolved once: scenario
+// files loaded, strategy specs parsed, link names looked up.
+util::Result<std::vector<Axis>> ResolveAxes(const SweepSpec& spec) {
+  using backup::SystemOptions;
+  std::vector<Axis> axes;
+  P2P_RETURN_IF_ERROR(AddAxis(
+      "threshold", spec.repair_thresholds,
+      [](int t) -> util::Result<Axis::Point> {
+        return Axis::Point{std::to_string(t),
+                           SetOption(&SystemOptions::repair_threshold, t)};
+      },
+      &axes));
+  P2P_RETURN_IF_ERROR(AddAxis(
+      "quota", spec.quotas,
+      [](int q) -> util::Result<Axis::Point> {
+        return Axis::Point{std::to_string(q),
+                           SetOption(&SystemOptions::quota_blocks, q)};
+      },
+      &axes));
+  // A policy's explicit threshold must fit the base code geometry; its
+  // validation errors say which axis they come from.
+  P2P_RETURN_IF_ERROR(AddStrategyAxis("policy", spec.policies,
+                                      &SystemOptions::policy, &axes,
+                                      "policy axis: "));
+  P2P_RETURN_IF_ERROR(AddStrategyAxis("selection", spec.selections,
+                                      &SystemOptions::selection, &axes));
+  P2P_RETURN_IF_ERROR(AddStrategyAxis("estimator", spec.estimators,
+                                      &SystemOptions::estimator, &axes));
+  P2P_RETURN_IF_ERROR(AddAxis(
+      "scenario", spec.scenarios,
+      [](const std::string& name) -> util::Result<Axis::Point> {
+        util::Result<Scenario> loaded = scenario::LoadScenario(name);
+        if (!loaded.ok()) {
+          return util::Status::InvalidArgument("scenario axis: " +
+                                               loaded.status().message());
+        }
+        std::string coord = loaded->name;
+        return Axis::Point{std::move(coord),
+                           [world = std::move(*loaded)](Scenario* s) {
+                             scenario::ApplyWorld(world, s);
+                           }};
+      },
+      &axes));
+  P2P_RETURN_IF_ERROR(AddAxis(
+      "visibility", spec.visibilities,
+      [](backup::VisibilityModel v) -> util::Result<Axis::Point> {
+        return Axis::Point{backup::VisibilityModelName(v),
+                           SetOption(&SystemOptions::visibility, v)};
+      },
+      &axes));
+  // A link point turns the transfer scheduler on; an empty name (which
+  // would mean instant repairs) is an unknown link here.
+  P2P_RETURN_IF_ERROR(AddAxis(
+      "link", spec.links,
+      [](const std::string& link) -> util::Result<Axis::Point> {
+        P2P_RETURN_IF_ERROR(transfer::FindLinkProfile(link).status());
+        return Axis::Point{link,
+                           SetOption(&SystemOptions::transfer_link, link)};
+      },
+      &axes));
+  return axes;
+}
+
+// Everything Validate() checks, given the resolved axes (shared with
+// Expand() so each axis is resolved - and any files parsed - exactly once
+// per expansion).
 util::Status ValidateResolved(const SweepSpec& spec,
-                              const std::vector<Scenario>& worlds,
-                              const std::vector<core::PolicySpec>& policies) {
+                              const std::vector<Axis>& axes) {
   if (spec.replicates < 1) {
     return util::Status::InvalidArgument("replicates must be >= 1, got " +
                                          std::to_string(spec.replicates));
@@ -69,40 +160,18 @@ util::Status ValidateResolved(const SweepSpec& spec,
                                          selection.status().message());
   }
   P2P_RETURN_IF_ERROR(spec.base.Validate());
-  // Every resolved cell must carry valid system options. RunScenario copies
-  // scenario.peers over options.num_peers, so validate with that population.
-  backup::SystemOptions opts = spec.base.options;
-  opts.num_peers = spec.base.peers;
-  for (int t : spec.repair_thresholds) {
-    backup::SystemOptions cell = opts;
-    cell.repair_threshold = t;
-    P2P_RETURN_IF_ERROR(cell.Validate());
-  }
-  for (int q : spec.quotas) {
-    backup::SystemOptions cell = opts;
-    cell.quota_blocks = q;
-    P2P_RETURN_IF_ERROR(cell.Validate());
-  }
-  // A policy's explicit threshold must fit the base code geometry.
-  for (const core::PolicySpec& policy : policies) {
-    backup::SystemOptions cell = opts;
-    cell.policy = policy;
-    if (util::Status st = cell.Validate(); !st.ok()) {
-      return util::Status::InvalidArgument("policy axis: " + st.message());
+  // Each point on the base: with the base valid and the axes editing
+  // disjoint fields, this proves every cell of the grid valid.
+  for (const Axis& axis : axes) {
+    for (const Axis::Point& point : axis.points) {
+      Scenario cell = spec.base;
+      point.edit(&cell);
+      if (util::Status st = cell.Validate(); !st.ok()) {
+        if (axis.error_context.empty()) return st;
+        return util::Status::InvalidArgument(axis.error_context +
+                                             st.message());
+      }
     }
-  }
-  for (const std::string& link : spec.links) {
-    backup::SystemOptions cell = opts;
-    cell.transfer_enabled = true;
-    cell.transfer_link = link;
-    P2P_RETURN_IF_ERROR(cell.Validate());
-  }
-  // Each world's workload must be feasible at the base scale (the axis
-  // swaps populations/workloads but keeps base.peers).
-  for (const Scenario& world : worlds) {
-    Scenario resolved = spec.base;
-    scenario::ApplyWorld(world, &resolved);
-    P2P_RETURN_IF_ERROR(resolved.Validate());
   }
   return util::Status::OK();
 }
@@ -119,18 +188,8 @@ uint64_t ReplicateSeed(uint64_t base_seed, uint64_t replicate) {
 std::string Cell::Label() const { return JoinCoords(coords); }
 
 util::Status SweepSpec::Validate() const {
-  P2P_ASSIGN_OR_RETURN(const std::vector<Scenario> worlds,
-                       ResolveWorlds(scenarios));
-  P2P_ASSIGN_OR_RETURN(
-      const std::vector<core::PolicySpec> policy_specs,
-      ResolveStrategies<core::PolicySpec>(policies, "policy"));
-  P2P_RETURN_IF_ERROR(
-      ResolveStrategies<core::SelectionSpec>(selections, "selection")
-          .status());
-  P2P_RETURN_IF_ERROR(
-      ResolveStrategies<core::EstimatorSpec>(estimators, "estimator")
-          .status());
-  return ValidateResolved(*this, worlds, policy_specs);
+  P2P_ASSIGN_OR_RETURN(const std::vector<Axis> axes, ResolveAxes(*this));
+  return ValidateResolved(*this, axes);
 }
 
 size_t SweepSpec::GroupCount() const {
@@ -160,122 +219,39 @@ std::vector<std::string> SweepSpec::ActiveAxes() const {
 }
 
 util::Result<std::vector<Cell>> SweepSpec::Expand() const {
-  P2P_ASSIGN_OR_RETURN(const std::vector<Scenario> worlds,
-                       ResolveWorlds(scenarios));
-  P2P_ASSIGN_OR_RETURN(
-      const std::vector<core::PolicySpec> policy_specs,
-      ResolveStrategies<core::PolicySpec>(policies, "policy"));
-  P2P_ASSIGN_OR_RETURN(
-      const std::vector<core::SelectionSpec> selection_specs,
-      ResolveStrategies<core::SelectionSpec>(selections, "selection"));
-  P2P_ASSIGN_OR_RETURN(
-      const std::vector<core::EstimatorSpec> estimator_specs,
-      ResolveStrategies<core::EstimatorSpec>(estimators, "estimator"));
-  P2P_RETURN_IF_ERROR(ValidateResolved(*this, worlds, policy_specs));
+  P2P_ASSIGN_OR_RETURN(const std::vector<Axis> axes, ResolveAxes(*this));
+  P2P_RETURN_IF_ERROR(ValidateResolved(*this, axes));
 
+  const size_t groups = GroupCount();
   std::vector<Cell> cells;
   cells.reserve(CellCount());
-
-  // Row-major nesting, replicates innermost. Each axis loop runs once with a
-  // sentinel index of -1 when the axis is inactive (keep the base value).
-  auto indices = [](size_t n) {
-    std::vector<int> ix;
-    if (n == 0) {
-      ix.push_back(-1);
-    } else {
-      for (size_t i = 0; i < n; ++i) ix.push_back(static_cast<int>(i));
+  // Row-major order, replicates innermost: group g is the mixed-radix
+  // number whose digits, last axis fastest, pick each axis's point.
+  for (size_t group = 0; group < groups; ++group) {
+    Scenario resolved = base;
+    std::vector<std::pair<std::string, std::string>> coords;
+    size_t stride = groups;
+    for (const Axis& axis : axes) {
+      stride /= axis.points.size();
+      const Axis::Point& point =
+          axis.points[group / stride % axis.points.size()];
+      point.edit(&resolved);
+      coords.emplace_back(axis.token, point.value);
     }
-    return ix;
-  };
-
-  size_t group = 0;
-  for (int ti : indices(repair_thresholds.size())) {
-    for (int qi : indices(quotas.size())) {
-      for (int pi : indices(policies.size())) {
-        for (int si : indices(selections.size())) {
-          for (int ei : indices(estimators.size())) {
-            for (int wi : indices(worlds.size())) {
-              for (int vi : indices(visibilities.size())) {
-                Scenario resolved = base;
-                std::vector<std::pair<std::string, std::string>> coords;
-                if (ti >= 0) {
-                  resolved.options.repair_threshold =
-                      repair_thresholds[static_cast<size_t>(ti)];
-                  coords.emplace_back(
-                      "threshold",
-                      std::to_string(resolved.options.repair_threshold));
-                }
-                if (qi >= 0) {
-                  resolved.options.quota_blocks =
-                      quotas[static_cast<size_t>(qi)];
-                  coords.emplace_back(
-                      "quota", std::to_string(resolved.options.quota_blocks));
-                }
-                if (pi >= 0) {
-                  resolved.options.policy =
-                      policy_specs[static_cast<size_t>(pi)];
-                  coords.emplace_back("policy",
-                                      resolved.options.policy.ToString());
-                }
-                if (si >= 0) {
-                  resolved.options.selection =
-                      selection_specs[static_cast<size_t>(si)];
-                  coords.emplace_back("selection",
-                                      resolved.options.selection.ToString());
-                }
-                if (ei >= 0) {
-                  resolved.options.estimator =
-                      estimator_specs[static_cast<size_t>(ei)];
-                  coords.emplace_back("estimator",
-                                      resolved.options.estimator.ToString());
-                }
-                if (wi >= 0) {
-                  scenario::ApplyWorld(worlds[static_cast<size_t>(wi)],
-                                       &resolved);
-                  coords.emplace_back("scenario", resolved.name);
-                }
-                if (vi >= 0) {
-                  resolved.options.visibility =
-                      visibilities[static_cast<size_t>(vi)];
-                  coords.emplace_back(
-                      "visibility",
-                      backup::VisibilityModelName(resolved.options.visibility));
-                }
-                for (int li : indices(links.size())) {
-                  Scenario linked = resolved;
-                  std::vector<std::pair<std::string, std::string>> lcoords =
-                      coords;
-                  if (li >= 0) {
-                    linked.options.transfer_enabled = true;
-                    linked.options.transfer_link =
-                        links[static_cast<size_t>(li)];
-                    lcoords.emplace_back("link", linked.options.transfer_link);
-                  }
-                  // The sweep-level metric selection (when set) rides on
-                  // every cell's scenario, so a cell re-run in isolation
-                  // reports the same columns the sweep did.
-                  if (!metrics.empty()) linked.metrics = metrics;
-                  for (int rep = 0; rep < replicates; ++rep) {
-                    Cell cell;
-                    cell.index = cells.size();
-                    cell.group = group;
-                    cell.replicate = static_cast<size_t>(rep);
-                    cell.scenario = linked;
-                    cell.scenario.seed = ReplicateSeed(
-                        base.seed, static_cast<uint64_t>(rep));
-                    cell.coords = lcoords;
-                    if (replicates > 1) {
-                      cell.coords.emplace_back("rep", std::to_string(rep));
-                    }
-                    cells.push_back(std::move(cell));
-                  }
-                  ++group;
-                }
-              }
-            }
-          }
-        }
-      }
+    // The sweep-level metric selection (when set) rides on every cell's
+    // scenario, so a cell re-run in isolation reports the same columns the
+    // sweep did.
+    if (!metrics.empty()) resolved.metrics = metrics;
+    for (int rep = 0; rep < replicates; ++rep) {
+      Cell cell;
+      cell.index = cells.size();
+      cell.group = group;
+      cell.replicate = static_cast<size_t>(rep);
+      cell.scenario = resolved;
+      cell.scenario.seed = ReplicateSeed(base.seed, static_cast<uint64_t>(rep));
+      cell.coords = coords;
+      if (replicates > 1) cell.coords.emplace_back("rep", std::to_string(rep));
+      cells.push_back(std::move(cell));
     }
   }
   return cells;

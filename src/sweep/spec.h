@@ -89,9 +89,10 @@ struct SweepSpec {
   std::vector<std::string> scenarios;
   std::vector<backup::VisibilityModel> visibilities;
   /// Link-profile axis: each value is a registered link name (transfer/
-  /// link.h: "dsl-2009", "dsl-modern", "ftth"). A cell on this axis runs
-  /// with the transfer scheduler ENABLED on that link; cells share the seed
-  /// (common random numbers), so the axis isolates the link's effect.
+  /// link.h: "dsl-2009", "dsl-modern", "ftth"). A cell on this axis sets
+  /// `transfer_link`, so it runs with the transfer scheduler on that link;
+  /// cells share the seed (common random numbers), so the axis isolates the
+  /// link's effect.
   std::vector<std::string> links;
   /// Seed replicates per grid point (>= 1); replicate 0 keeps the base seed.
   int replicates = 1;

@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <typeindex>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -334,13 +337,20 @@ TEST(SelectionTest, RequestMoreThanPool) {
 }
 
 TEST(SelectionTest, RegistryInstantiatesEveryBuiltin) {
-  for (const char* name :
-       {"oldest-first", "random", "youngest-first", "weighted-random"}) {
+  // Each table row builds the class it names.
+  const std::pair<const char*, std::type_index> kRows[] = {
+      {"oldest-first", typeid(OldestFirstSelection)},
+      {"random", typeid(RandomSelection)},
+      {"youngest-first", typeid(YoungestFirstSelection)},
+      {"weighted-random", typeid(WeightedRandomSelection)},
+  };
+  for (const auto& [name, type] : kRows) {
     auto spec = SelectionSpec::Parse(name);
     ASSERT_TRUE(spec.ok()) << spec.status().ToString();
     auto strategy = MakeSelection(*spec);
     ASSERT_TRUE(strategy.ok()) << strategy.status().ToString();
-    EXPECT_EQ((*strategy)->name(), name);
+    const SelectionStrategy& built = **strategy;
+    EXPECT_EQ(std::type_index(typeid(built)), type) << name;
   }
 }
 
@@ -630,13 +640,20 @@ TEST(EstimatorSpecTest, ErrorsNameTheOffendingToken) {
 }
 
 TEST(EstimatorSpecTest, RegistryInstantiatesEveryBuiltin) {
-  for (const char* name : {"age-rank", "pareto-residual", "empirical-residual",
-                           "availability-weighted"}) {
+  // Each table row builds the class it names.
+  const std::pair<const char*, std::type_index> kRows[] = {
+      {"age-rank", typeid(AgeRankEstimator)},
+      {"pareto-residual", typeid(ParetoResidualEstimator)},
+      {"empirical-residual", typeid(EmpiricalResidualEstimator)},
+      {"availability-weighted", typeid(AvailabilityWeightedEstimator)},
+  };
+  for (const auto& [name, type] : kRows) {
     auto spec = EstimatorSpec::Parse(name);
     ASSERT_TRUE(spec.ok()) << spec.status().ToString();
     auto estimator = MakeEstimator(*spec, StrategyEnv{});
     ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
-    EXPECT_EQ((*estimator)->name(), name);
+    const LifetimeEstimator& built = **estimator;
+    EXPECT_EQ(std::type_index(typeid(built)), type) << name;
     // Fresh instance per call: stateful estimators must not share history
     // across concurrently running networks.
     auto second = MakeEstimator(*spec, StrategyEnv{});

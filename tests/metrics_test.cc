@@ -158,7 +158,7 @@ TEST(MetricRegistryTest, SelectionResolvesDefaultsAndRejectsBadNames) {
 TEST(CollectorTest, BuildReportCarriesEveryListedMetric) {
   // Every table row names the probe field that carries it, so every listed
   // metric is in the report, in table order.
-  Collector c(2, 24);
+  Collector c(2);
   const RunReport report = c.BuildReport(24);
   const std::vector<const MetricDescriptor*> listed = ListMetrics();
   ASSERT_EQ(report.values().size(), listed.size());
@@ -171,7 +171,7 @@ TEST(CollectorTest, BuildReportCarriesEveryListedMetric) {
 // ---------------------------------------------------------- collector
 
 TEST(CollectorTest, CountsTypedEventsAndBuildsReport) {
-  Collector c(/*id_capacity=*/8, /*sample_interval=*/24);
+  Collector c(/*id_capacity=*/8);
   c.PeerEntered(AgeCategory::kNewcomer);
   c.OnRepairFlagged(0, 0);
   c.OnRepairStart(AgeCategory::kNewcomer, 5);
@@ -212,7 +212,7 @@ TEST(CollectorTest, CountsTypedEventsAndBuildsReport) {
 }
 
 TEST(CollectorTest, DepartureDropsTheOpenEpisode) {
-  Collector c(4, 24);
+  Collector c(4);
   c.PeerEntered(AgeCategory::kNewcomer);
   c.OnRepairFlagged(2, 5);
   c.OnDeparture(2, AgeCategory::kNewcomer);
@@ -225,7 +225,7 @@ TEST(CollectorTest, DepartureDropsTheOpenEpisode) {
 }
 
 TEST(CollectorTest, ObserversAccumulateSeparately) {
-  Collector c(4, 24);
+  Collector c(4);
   ASSERT_EQ(c.AddObserver("baby", 1), 0u);
   ASSERT_EQ(c.AddObserver("elder", 2160), 1u);
   c.OnObserverRepair(0);

@@ -487,21 +487,6 @@ TEST(NetworkTest, VacantSlotsNeverEnterTheIndex) {
             ps.reject_quota_full + ps.reject_acceptance + ps.accepted);
 }
 
-TEST(NetworkTest, MaxBlocksPerRoundSpreadsPlacement) {
-  SystemOptions opts = SmallOptions();
-  opts.max_blocks_per_round = 4;  // initial upload takes >= 8 rounds
-  const auto profiles = churn::ProfileSet::Paper();
-  sim::EngineOptions eopts;
-  eopts.end_round = 4;
-  sim::Engine engine(eopts);
-  BackupNetwork network(&engine, &profiles, opts);
-  engine.Run();
-  const auto pop = network.ComputePopulationStats();
-  EXPECT_EQ(pop.backed_up, 0);  // nobody can finish in 4 rounds
-  EXPECT_GT(pop.mean_partners, 1.0);
-  network.CheckInvariants();
-}
-
 }  // namespace
 }  // namespace backup
 }  // namespace p2p

@@ -83,10 +83,8 @@ TEST(PoolIndexTest, SelectionFrequenciesMatchRejectionSampler) {
   HotPathProbe probe(&network);
   const PeerId owner = FindOwner(network);
   const int needed = 8;
-  const int target_pool =
-      std::max(needed, static_cast<int>(std::ceil(opts.pool_factor * needed)));
-  const int64_t max_draws =
-      static_cast<int64_t>(opts.sample_attempt_factor) * target_pool;
+  const int target_pool = BackupNetwork::kPoolFactor * needed;
+  const int64_t max_draws = int64_t{BackupNetwork::kDrawBudget} * target_pool;
   const uint32_t slots = opts.num_peers;  // no workload: ids == initial slots
 
   // The frozen world's eligible set and the owner's exclusion marks, both

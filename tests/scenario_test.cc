@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -358,59 +360,93 @@ TEST(TextTest, PartialFilesKeepDefaults) {
 }
 
 TEST(TextTest, ErrorsNameLineAndToken) {
-  auto bad = ParseScenarioText("name = x\npeers = lots\n");
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
-  EXPECT_NE(bad.status().message().find("line 2"), std::string::npos);
-  EXPECT_NE(bad.status().message().find("lots"), std::string::npos);
+  // Each malformed input fails with InvalidArgument, and the message holds
+  // every listed fragment: the line, the key, the offending token.
+  const struct {
+    const char* text;
+    std::vector<std::string> fragments;
+  } kCases[] = {
+      {"name = x\npeers = lots\n", {"line 2", "lots"}},
+      {"name = x\nnonsense.key = 1\n", {"unknown key"}},
+      {"name = x\nseed = 1\nseed = 2\n", {"duplicate"}},
+      {"peers = 100\n", {"name"}},
+      {"name = x\nprofile.0.name = solo\nprofile.0.proportion = 1\n"
+       "profile.0.availability = 0.5\n",
+       {"lifetime"}},
+      {"name = x\nevent.0.kind = comet\n", {"comet"}},
+      {"name = x\noptions.visibility = psychic\n", {"psychic"}},
+      // Strategy specs: unknown names and bad parameters fail loudly,
+      // naming the token.
+      {"name = x\noptions.policy = psychic-repair\n", {"psychic-repair"}},
+      {"name = x\noptions.selection = oldest\n", {"oldest"}},
+      {"name = x\noptions.policy = proactive{batch_blocks=none}\n",
+       {"none"}},
+      {"name = x\noptions.estimator = crystal-ball\n", {"crystal-ball"}},
+      {"name = x\noptions.estimator = age-rank{horizon=forever}\n",
+       {"forever"}},
+      // Integer options outside int range are rejected, not wrapped.
+      {"name = x\noptions.k = 4294967424\n",
+       {"line 2", "options.k", "4294967424"}},
+      {"name = x\noptions.m = 4294967424\n",
+       {"line 2", "options.m", "4294967424"}},
+      {"name = x\noptions.quota_blocks = 3000000000\n",
+       {"line 2", "options.quota_blocks", "3000000000"}},
+      {"name = x\noptions.repair_threshold = -2147483649\n",
+       {"line 2", "options.repair_threshold", "-2147483649"}},
+      // Deleted knobs: the scenario text naming them is rejected.
+      {"name = x\noptions.max_partner_factor = 2\n",
+       {"line 2", "unknown option", "max_partner_factor"}},
+      {"name = x\noptions.pool_factor = 3\n",
+       {"line 2", "unknown option", "pool_factor"}},
+      {"name = x\noptions.sample_attempt_factor = 8\n",
+       {"line 2", "unknown option", "sample_attempt_factor"}},
+      {"name = x\noptions.max_blocks_per_round = 0\n",
+       {"line 2", "unknown option", "max_blocks_per_round"}},
+      {"name = x\noptions.loss_rate_tau = 2w\n",
+       {"line 2", "unknown option", "loss_rate_tau"}},
+      {"name = x\noptions.sample_interval = 1d\n",
+       {"line 2", "unknown option", "sample_interval"}},
+      {"name = x\ntransfer.enabled = true\n",
+       {"line 2", "unknown key", "transfer.enabled"}},
+  };
+  for (const auto& c : kCases) {
+    const auto bad = ParseScenarioText(c.text);
+    if (bad.ok()) {
+      ADD_FAILURE() << "accepted: " << c.text;
+      continue;
+    }
+    EXPECT_TRUE(bad.status().IsInvalidArgument()) << c.text;
+    for (const std::string& fragment : c.fragments) {
+      EXPECT_NE(bad.status().message().find(fragment), std::string::npos)
+          << c.text << " -> " << bad.status().message();
+    }
+  }
+}
 
-  bad = ParseScenarioText("name = x\nnonsense.key = 1\n");
-  EXPECT_NE(bad.status().message().find("unknown key"), std::string::npos);
+TEST(TextTest, ObserversPastTheNetworkLimitFailValidation) {
+  // observer.0 ... observer.<limit> is one observer more than a network
+  // holds: an error naming the first key past the limit, not an abort.
+  const uint32_t limit = backup::BackupNetwork::kMaxObservers;
+  std::string text = "name = crowded\npeers = 64\nrounds = 48\n";
+  for (uint32_t i = 0; i <= limit; ++i) {
+    const std::string prefix = "observer." + std::to_string(i) + ".";
+    text += prefix + "name = o" + std::to_string(i) + "\n";
+    text += prefix + "age = " + std::to_string(i) + "d\n";
+  }
+  const auto crowded = ParseScenarioText(text);
+  ASSERT_FALSE(crowded.ok());
+  EXPECT_TRUE(crowded.status().IsInvalidArgument());
+  EXPECT_NE(crowded.status().message().find(
+                "observer." + std::to_string(limit) + ":"),
+            std::string::npos)
+      << crowded.status().message();
 
-  bad = ParseScenarioText("name = x\nseed = 1\nseed = 2\n");
-  EXPECT_NE(bad.status().message().find("duplicate"), std::string::npos);
-
-  bad = ParseScenarioText("peers = 100\n");
-  EXPECT_NE(bad.status().message().find("name"), std::string::npos);
-
-  bad = ParseScenarioText(
-      "name = x\nprofile.0.name = solo\nprofile.0.proportion = 1\n"
-      "profile.0.availability = 0.5\n");
-  EXPECT_NE(bad.status().message().find("lifetime"), std::string::npos);
-
-  bad = ParseScenarioText("name = x\nevent.0.kind = comet\n");
-  EXPECT_NE(bad.status().message().find("comet"), std::string::npos);
-
-  bad = ParseScenarioText("name = x\noptions.visibility = psychic\n");
-  EXPECT_NE(bad.status().message().find("psychic"), std::string::npos);
-
-  // The instant-mode partner cap is gone (an owner never holds more than n
-  // partners in either mode); scenario text still naming it is rejected.
-  bad = ParseScenarioText("name = x\noptions.max_partner_factor = 2\n");
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
-  EXPECT_NE(bad.status().message().find("max_partner_factor"),
-            std::string::npos);
-
-  // Strategy specs: unknown names and bad parameters fail loudly, naming
-  // the token - the silent-fallback FromName era is over.
-  bad = ParseScenarioText("name = x\noptions.policy = psychic-repair\n");
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
-  EXPECT_NE(bad.status().message().find("psychic-repair"), std::string::npos);
-
-  bad = ParseScenarioText("name = x\noptions.selection = oldest\n");
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
-  EXPECT_NE(bad.status().message().find("oldest"), std::string::npos);
-
-  bad = ParseScenarioText(
-      "name = x\noptions.policy = proactive{batch_blocks=none}\n");
-  EXPECT_NE(bad.status().message().find("none"), std::string::npos);
-
-  bad = ParseScenarioText("name = x\noptions.estimator = crystal-ball\n");
-  EXPECT_TRUE(bad.status().IsInvalidArgument());
-  EXPECT_NE(bad.status().message().find("crystal-ball"), std::string::npos);
-
-  bad = ParseScenarioText(
-      "name = x\noptions.estimator = age-rank{horizon=forever}\n");
-  EXPECT_NE(bad.status().message().find("forever"), std::string::npos);
+  // Exactly the limit validates and runs.
+  const size_t last = text.find("observer." + std::to_string(limit) + ".");
+  const auto full = ParseScenarioText(text.substr(0, last));
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(full->observers.size(), limit);
+  EXPECT_EQ(RunScenario(*full).observers.size(), limit);
 }
 
 TEST(TextTest, ParameterizedStrategySpecsRoundTrip) {

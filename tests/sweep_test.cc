@@ -10,6 +10,7 @@
 // thread-count invariant like every other report.
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <fstream>
 #include <random>
@@ -278,6 +279,15 @@ TEST(SystemOptionsTest, ValidateRejectsBadKnobs) {
   options = backup::SystemOptions();
   options.partner_timeout = -3;
   EXPECT_TRUE(options.Validate().IsInvalidArgument());
+
+  // n = k + m past INT_MAX is rejected, not wrapped.
+  options = backup::SystemOptions();
+  options.k = INT_MAX;
+  options.m = 1;
+  options.repair_threshold = INT_MAX;
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
+  EXPECT_NE(options.Validate().message().find("k + m must be <="),
+            std::string::npos);
 }
 
 TEST(SystemOptionsTest, ExplicitPolicyThresholdsRespectTheCodeGeometry) {
@@ -339,40 +349,6 @@ TEST(SystemOptionsTest, ExplicitPolicyThresholdsRespectTheCodeGeometry) {
     expect(spec.Validate());
     EXPECT_EQ(spec.Expand().ok(), c.bad_param == nullptr);
   }
-}
-
-TEST(SystemOptionsTest, ValidateRejectsNonPositiveSampleInterval) {
-  // sample_interval <= 0 would stall the series sampler forever.
-  backup::SystemOptions options;
-  options.sample_interval = 0;
-  EXPECT_TRUE(options.Validate().IsInvalidArgument());
-  EXPECT_NE(options.Validate().message().find("sample_interval"),
-            std::string::npos);
-
-  options = backup::SystemOptions();
-  options.sample_interval = -24;
-  EXPECT_TRUE(options.Validate().IsInvalidArgument());
-
-  options = backup::SystemOptions();
-  options.sample_interval = 1;
-  EXPECT_TRUE(options.Validate().ok());
-}
-
-TEST(SystemOptionsTest, ValidateRejectsNonPositiveLossRateTau) {
-  // loss_rate_tau <= 0 divides by zero in the loss-rate EMA decay.
-  backup::SystemOptions options;
-  options.loss_rate_tau = 0;
-  EXPECT_TRUE(options.Validate().IsInvalidArgument());
-  EXPECT_NE(options.Validate().message().find("loss_rate_tau"),
-            std::string::npos);
-
-  options = backup::SystemOptions();
-  options.loss_rate_tau = -1;
-  EXPECT_TRUE(options.Validate().IsInvalidArgument());
-
-  options = backup::SystemOptions();
-  options.loss_rate_tau = 1;
-  EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(RunnerTest, OneCellSweepMatchesDirectRun) {

@@ -10,9 +10,12 @@
 #include <string>
 #include <vector>
 
+#include "backup/network.h"
+#include "churn/profile.h"
 #include "scenario/registry.h"
 #include "scenario/scenario.h"
 #include "scenario/text.h"
+#include "sim/engine.h"
 #include "transfer/link.h"
 #include "transfer/scheduler.h"
 
@@ -303,11 +306,10 @@ TEST(TransferScenarioTest, TextRoundTripCarriesTransferKeys) {
             std::string::npos);
 
   scenario::Scenario with_transfer = *base;
-  with_transfer.options.transfer_enabled = true;
   with_transfer.options.transfer_link = "ftth";
   const std::string text = scenario::RenderScenarioText(with_transfer);
-  EXPECT_NE(text.find("transfer.enabled = true"), std::string::npos);
-  EXPECT_NE(text.find("transfer.link = ftth"), std::string::npos);
+  EXPECT_NE(text.find("\ntransfer.link = ftth\n"), std::string::npos);
+  EXPECT_EQ(text.find("transfer.enabled"), std::string::npos);
 
   const util::Result<scenario::Scenario> parsed =
       scenario::ParseScenarioText(text);
@@ -315,11 +317,29 @@ TEST(TransferScenarioTest, TextRoundTripCarriesTransferKeys) {
   EXPECT_TRUE(*parsed == with_transfer);
 }
 
+TEST(TransferScenarioTest, LinkKeyAloneTurnsTheSchedulerOn) {
+  // The link is the transfer switch: naming one in scenario text is enough,
+  // and no link means instant repairs with no scheduler at all.
+  const util::Result<scenario::Scenario> parsed =
+      scenario::ParseScenarioText("name = x\ntransfer.link = ftth\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->options.transfer_link, "ftth");
+
+  const churn::ProfileSet profiles = churn::ProfileSet::Paper();
+  for (const char* link : {"ftth", ""}) {
+    backup::SystemOptions options = parsed->options;
+    options.num_peers = 64;
+    options.transfer_link = link;
+    sim::Engine engine(sim::EngineOptions{});
+    const backup::BackupNetwork network(&engine, &profiles, options);
+    EXPECT_EQ(network.transfer() != nullptr, *link != '\0') << link;
+  }
+}
+
 TEST(TransferScenarioTest, UnknownLinkFailsValidation) {
   const util::Result<scenario::Scenario> base = scenario::LoadScenario("paper");
   ASSERT_TRUE(base.ok());
   scenario::Scenario bad = *base;
-  bad.options.transfer_enabled = true;
   bad.options.transfer_link = "isdn-1999";
   const util::Status status = bad.Validate();
   ASSERT_FALSE(status.ok());
@@ -332,7 +352,6 @@ TEST(TransferScenarioTest, RunsUnderInvariantsAndReportsTransferProbes) {
   scenario::Scenario s = *base;
   s.peers = 350;
   s.rounds = 400;
-  s.options.transfer_enabled = true;
   s.options.transfer_link = "dsl-2009";
   ASSERT_TRUE(s.Validate().ok());
 
