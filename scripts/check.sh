@@ -168,6 +168,28 @@ for scenario in flash-crowd mass-exit growing; do
 done
 
 echo
+echo "== memory smoke: a heavy-tailed world stays small =="
+# Pareto lifetimes draw departures millions of rounds past the end of the
+# run. The network schedules no event the run cannot reach, so every
+# calendar ring stays within the run length: this world peaks near 16 MiB,
+# where it took 438 MiB while far-future departures sat in the rings.
+python3 - <<'PY'
+import resource
+import subprocess
+import sys
+
+LIMIT_MIB = 64
+subprocess.run(["./build/scenario_tool", "run", "pareto", "--peers=1500",
+                "--rounds=4800", "--seed=42", "--brief"], check=True)
+# ru_maxrss is in KiB on Linux: the peak of the largest waited-for child.
+peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+print("peak resident: %.1f MiB (limit %d MiB)" % (peak_mib, LIMIT_MIB))
+if peak_mib > LIMIT_MIB:
+    sys.exit("check.sh: pareto 1500 x 4800 peaked at %.1f MiB, over %d MiB"
+             % (peak_mib, LIMIT_MIB))
+PY
+
+echo
 echo "== trace smoke: --trace produces a loadable Chrome trace =="
 # A traced run must still succeed, write a non-empty trace_event document,
 # and leave the simulation output intact (tracing may never perturb results).

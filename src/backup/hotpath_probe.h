@@ -9,6 +9,7 @@
 #ifndef P2P_BACKUP_HOTPATH_PROBE_H_
 #define P2P_BACKUP_HOTPATH_PROBE_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "backup/network.h"
@@ -59,6 +60,22 @@ struct HotPathProbe {
   size_t client_row_width() const { return net->clients_.width(); }
   uint32_t ClientCount(PeerId host) const { return net->clients_[host].size(); }
 
+  /// Over the network's calendar queues: the longest ring in slots, and
+  /// the latest round any queue holds an event for (before the next round
+  /// to drain when all are empty). Lets tests hold the queues to the run.
+  size_t MaxRingSlots() const {
+    size_t slots = 0;
+    ForEachQueue(
+        [&](const auto& q) { slots = std::max(slots, q.ring_slots()); });
+    return slots;
+  }
+  sim::Round LastPendingRound() const {
+    sim::Round last = -1;
+    ForEachQueue(
+        [&](const auto& q) { last = std::max(last, q.LastPendingRound()); });
+    return last;
+  }
+
   /// Host ids of `owner`'s current partners (the exclusion set BuildPool
   /// epoch-marks); lets reference samplers in tests mirror the real one.
   std::vector<PeerId> PartnerIds(PeerId owner) const {
@@ -69,6 +86,15 @@ struct HotPathProbe {
   }
 
   BackupNetwork* net;
+
+ private:
+  template <typename Fn>
+  void ForEachQueue(Fn fn) const {
+    for (const auto* q : {&net->toggles_, &net->departures_, &net->timeouts_,
+                          &net->category_events_, &net->quota_releases_}) {
+      fn(*q);
+    }
+  }
 };
 
 }  // namespace backup

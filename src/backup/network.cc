@@ -105,16 +105,16 @@ BackupNetwork::BackupNetwork(sim::Engine* engine,
   // partners, all distinct normal peers. A host holds at most quota_blocks
   // normal clients - TryPlaceBlock never lets hosted pass the quota, and
   // ghost quota only shrinks the room - plus at most one block per
-  // observer, the only blocks allowed past the quota. Both widths are
-  // clamped by the population, so no geometry can outgrow the id space.
+  // observer, the only blocks allowed past the quota; AddObserver widens
+  // the host rows by one for each. Both widths are clamped by the
+  // population, so no geometry can outgrow the id space.
   const size_t id_space = size_t{normal_slots_} + kMaxObservers;
   const size_t n_blocks =
       static_cast<size_t>(options.k) + static_cast<size_t>(options.m);
   partners_.Allocate(id_space, std::min<size_t>(n_blocks, normal_slots_));
   clients_.Allocate(id_space,
                     std::min<size_t>(static_cast<size_t>(options.quota_blocks),
-                                     normal_slots_) +
-                        kMaxObservers);
+                                     normal_slots_));
   // Hot-path lanes and scratch (README "Hot path"): all-zero eligibility is
   // correct for the not-yet-live slots peers_.resize() just created, and -1
   // marks every score-memo entry invalid (rounds start at 0).
@@ -143,6 +143,9 @@ void BackupNetwork::BootstrapPopulation() {
 size_t BackupNetwork::AddObserver(const std::string& name, sim::Round frozen_age) {
   P2P_CHECK(engine_->now() == 0);
   P2P_CHECK(collector_.observers().size() < kMaxObservers);
+  // Room for this observer's one block per host. No round has run, so no
+  // block is placed yet and the empty client store can be re-sized.
+  clients_.Allocate(clients_.rows(), clients_.width() + 1);
   const PeerId id = static_cast<PeerId>(peers_.size());
   peers_.emplace_back();
   PeerState& p = peers_.back();
@@ -170,10 +173,11 @@ void BackupNetwork::InitPeer(PeerId id, sim::Round now) {
   visible_[id] = 0;
 
   const churn::Profile& profile = (*profiles_)[p.profile];
+  // A departure the run never reaches (an unlimited lifetime included)
+  // keeps departure_round at kNever.
   const sim::Round lifetime = profile.lifetime->Sample(churn_rng_);
-  if (lifetime != sim::kNever) {
+  if (ScheduleAfter(&departures_, now, lifetime, Event{id, incarnation, 0})) {
     p.departure_round = now + lifetime;
-    departures_.Schedule(p.departure_round, Event{id, incarnation, 0});
   }
 
   // A fresh peer starts online (the user just installed / reinstalled).
@@ -182,13 +186,11 @@ void BackupNetwork::InitPeer(PeerId id, sim::Round now) {
   monitor_.RecordConnect(id, now);
   const sim::Round on_len = profile.sessions.SampleOnline(churn_rng_);
   p.next_toggle = now + on_len;
-  toggles_.Schedule(p.next_toggle, Event{id, incarnation, p.next_toggle});
+  ScheduleAfter(&toggles_, now, on_len, Event{id, incarnation, p.next_toggle});
 
   collector_.PeerEntered(metrics::AgeCategory::kNewcomer);
-  const sim::Round boundary = metrics::NextBoundary(0);
-  if (boundary != sim::kNever) {
-    category_events_.Schedule(now + boundary, Event{id, incarnation, 0});
-  }
+  ScheduleAfter(&category_events_, now, metrics::NextBoundary(0),
+                Event{id, incarnation, 0});
 
   // The initial placement is "a repair where d = n" (paper 3.2).
   p.needs_repair = true;
@@ -223,8 +225,8 @@ void BackupNetwork::DepartPeer(PeerId id, sim::Round now, bool replace) {
     while (!partners_[id].empty()) {
       const uint32_t last = partners_[id].size() - 1;
       const PeerId host = partners_[id][last].peer;
-      quota_releases_.Schedule(now + options_.departure_grace,
-                               Event{host, peers_[host].incarnation, 0});
+      ScheduleAfter(&quota_releases_, now, options_.departure_grace,
+                    Event{host, peers_[host].incarnation, 0});
       RemovePartnerAt(id, last, /*release_quota=*/false);
     }
   } else {
@@ -319,6 +321,7 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
     return;  // stale
   }
   const churn::Profile& profile = (*profiles_)[p.profile];
+  sim::Round session_len = 0;
   if (p.online) {
     p.online = false;
     p.offline_since = now;
@@ -330,12 +333,12 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
       }
     } else {
       // If it stays unreachable past the timeout, partners presume
-      // departure.
-      timeouts_.Schedule(now + options_.partner_timeout + 1,
-                         Event{e.id, p.incarnation, now});
+      // departure: the probe runs partner_timeout rounds after the first
+      // round it is missed.
+      ScheduleAfter(&timeouts_, now + 1, options_.partner_timeout,
+                    Event{e.id, p.incarnation, now});
     }
-    const sim::Round off_len = profile.sessions.SampleOffline(churn_rng_);
-    p.next_toggle = now + off_len;
+    session_len = profile.sessions.SampleOffline(churn_rng_);
   } else {
     p.online = true;
     p.offline_since = -1;
@@ -344,11 +347,12 @@ void BackupNetwork::ProcessToggle(const Event& e, sim::Round now) {
       for (const ClientLink& c : clients_[e.id]) ++visible_[c.owner];
     }
     if (p.needs_repair) EnqueueRepair(e.id);
-    const sim::Round on_len = profile.sessions.SampleOnline(churn_rng_);
-    p.next_toggle = now + on_len;
+    session_len = profile.sessions.SampleOnline(churn_rng_);
   }
+  p.next_toggle = now + session_len;
   RefreshElig(e.id);
-  toggles_.Schedule(p.next_toggle, Event{e.id, p.incarnation, p.next_toggle});
+  ScheduleAfter(&toggles_, now, session_len,
+                Event{e.id, p.incarnation, p.next_toggle});
 }
 // DETLINT: hot-path-end
 
@@ -375,15 +379,16 @@ void BackupNetwork::ProcessCategory(const Event& e, sim::Round now) {
   const metrics::AgeCategory from = metrics::CategoryOf(age - 1);
   const metrics::AgeCategory to = metrics::CategoryOf(age);
   if (from != to) collector_.PeerAdvanced(from, to);
-  const sim::Round next = metrics::NextBoundary(age);
-  if (next != sim::kNever) {
-    category_events_.Schedule(p.join_round + next, Event{e.id, e.incarnation, 0});
-  }
+  ScheduleAfter(&category_events_, p.join_round, metrics::NextBoundary(age),
+                Event{e.id, e.incarnation, 0});
 }
 
 // DETLINT: hot-path-begin
 void BackupNetwork::AddPartnership(PeerId owner, PeerId host) {
-  partners_.Append(owner, Link{host, clients_[host].size(), engine_->now()});
+  const sim::Round now = engine_->now();
+  P2P_CHECK(now <= UINT32_MAX);  // Link::formed is 32 bits
+  partners_.Append(owner, Link{host, clients_[host].size(),
+                               static_cast<uint32_t>(now)});
   clients_.Append(host, ClientLink{owner, partners_[owner].size() - 1});
   PeerState& h = peers_[host];
   if (!IsObserverId(owner)) {

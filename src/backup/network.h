@@ -10,11 +10,11 @@
 //    with O(1) swap-removal; a host departing with hundreds of clients
 //    severs all of them in linear time without scans.
 //  * Both sides live in a flat, fixed-capacity row store: one row per peer
-//    id, sized once at construction from bounds the protocol guarantees (an
-//    owner holds at most n partners, a host at most quota_blocks normal
-//    clients plus one block per observer), with a dense per-row count lane.
-//    Rows never reallocate, and rows no peer has filled yet are never
-//    written, so they cost no resident memory.
+//    id, sized before the first round from bounds the protocol guarantees
+//    (an owner holds at most n partners, a host at most quota_blocks normal
+//    clients plus one block per observer added), with a dense per-row count
+//    lane. Rows never reallocate once a round has run, and rows no peer has
+//    filled yet are never written, so they cost no resident memory.
 //  * "alive blocks" of an owner is by construction the size of its partner
 //    row: a block exists exactly while its partnership does.
 
@@ -209,12 +209,15 @@ class BackupNetwork {
 
  private:
   friend struct HotPathProbe;
-  // Owner side of a partnership.
+  // Owner side of a partnership. Scenario validation caps a run at
+  // sim::kMaxRunRounds, so the round a partnership formed fits 32 bits;
+  // AddPartnership checks it where it narrows.
   struct Link {
     PeerId peer;       // the host storing the block
     uint32_t back;     // index of the twin ClientLink in the host's row
-    sim::Round formed; // round the partnership was created (lifetime probe)
+    uint32_t formed;   // round the partnership was created (lifetime probe)
   };
+  static_assert(sizeof(Link) == 12, "owner rows hold 12-byte links");
   // Host side of a partnership: nothing reads when it formed, so it is half
   // the size of the owner side.
   struct ClientLink {
@@ -251,6 +254,7 @@ class BackupNetwork {
       count_.assign(rows, 0);
       data_.reset(new T[rows * width]);  // default-init: pages stay untouched
     }
+    size_t rows() const { return count_.size(); }
     size_t width() const { return width_; }
     // DETLINT: hot-path-begin
     Row operator[](PeerId r) const { return Row{Data(r), count_[r]}; }
@@ -327,6 +331,19 @@ class BackupNetwork {
   void ProcessCategory(const Event& e, sim::Round now);
   void ProcessRepairs(sim::Round now);
   void RunRepair(PeerId id, sim::Round now);
+  /// Schedules `e` on `queue` `delay` rounds after `from`, unless that
+  /// lands at or past the end round, where it could never fire; returns
+  /// whether it was scheduled. `from` must not lie past the end round.
+  /// Leaving such events out bounds every ring by the run length instead of
+  /// by the farthest draw (a heavy-tailed lifetime lands millions of rounds
+  /// out), and comparing before adding means `from + delay` is never formed
+  /// when it would overflow.
+  bool ScheduleAfter(sim::CalendarQueue<Event>* queue, sim::Round from,
+                     sim::Round delay, const Event& e) {
+    if (delay >= engine_->end_round() - from) return false;
+    queue->Schedule(from + delay, e);
+    return true;
+  }
 
   // --- transfer scheduling (a transfer link is set) ---
   /// Advances the scheduler one round and applies completions.

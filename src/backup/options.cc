@@ -66,15 +66,18 @@ util::Status SystemOptions::Validate() const {
     return Invalid("quota_blocks must be positive, got " +
                    std::to_string(quota_blocks));
   }
-  if (partner_timeout < 1) {
-    return Invalid("partner_timeout must be >= 1 round, got " +
-                   std::to_string(partner_timeout));
+  // Delays share the run-length bound: a longer one could never elapse.
+  const std::string max_rounds = std::to_string(sim::kMaxRunRounds);
+  if (partner_timeout < 1 || partner_timeout > sim::kMaxRunRounds) {
+    return Invalid("partner_timeout must be in [1, " + max_rounds +
+                   "] rounds, got " + std::to_string(partner_timeout));
   }
   if (acceptance_horizon < 1) {
     return Invalid("acceptance_horizon must be >= 1 round");
   }
-  if (departure_grace < 0) {
-    return Invalid("departure_grace must be >= 0 rounds");
+  if (departure_grace < 0 || departure_grace > sim::kMaxRunRounds) {
+    return Invalid("departure_grace must be in [0, " + max_rounds +
+                   "] rounds, got " + std::to_string(departure_grace));
   }
   if (!transfer_link.empty()) {
     P2P_RETURN_IF_ERROR(transfer::FindLinkProfile(transfer_link).status());

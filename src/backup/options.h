@@ -3,6 +3,11 @@
 // run may vary is an option; the protocol's fixed constants (candidate pool
 // factor and draw budget, loss-rate time constant, one-day series interval)
 // live with the code that uses them (BackupNetwork, metrics::Collector).
+//
+// Run-length bound: a run lasts at most sim::kMaxRunRounds (4294967295)
+// rounds - Scenario::Validate and the --rounds flag enforce it - and every
+// option that is a delay in rounds shares that bound. Rounds therefore fit
+// 32 bits where the network stores them, and no "now + delay" overflows.
 
 #ifndef P2P_BACKUP_OPTIONS_H_
 #define P2P_BACKUP_OPTIONS_H_
@@ -59,7 +64,7 @@ struct SystemOptions {
   /// kTimeoutPresumed only: rounds a partner may stay unreachable before its
   /// blocks are presumed disappeared ("if a peer could not be connected
   /// during the threshold period, it is considered that the peer has
-  /// definitively left").
+  /// definitively left"). At most sim::kMaxRunRounds, the run-length bound.
   sim::Round partner_timeout = 12;
 
   /// Acceptance-function horizon L (paper: 90 days).
@@ -97,6 +102,7 @@ struct SystemOptions {
 
   /// Future-work knob: delay between a definitive departure and the removal
   /// of its blocks (paper default: 0 = "blocks are immediately removed").
+  /// At most sim::kMaxRunRounds, the run-length bound.
   sim::Round departure_grace = 0;
 
   /// Bandwidth-constrained transfer scheduling (section 2.2.4): the link

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "scenario/text.h"
+#include "sim/clock.h"
 
 namespace p2p {
 namespace scenario {
@@ -131,7 +132,8 @@ void ApplyWorld(const Scenario& world, Scenario* dst) {
 util::Status ApplyScaleFlags(int64_t peers, int64_t rounds, int64_t seed,
                              Scenario* scenario) {
   P2P_RETURN_IF_ERROR(util::CheckFlagRange("peers", peers, 0, UINT32_MAX));
-  P2P_RETURN_IF_ERROR(util::CheckFlagRange("rounds", rounds, 0, INT64_MAX));
+  P2P_RETURN_IF_ERROR(
+      util::CheckFlagRange("rounds", rounds, 0, sim::kMaxRunRounds));
   P2P_RETURN_IF_ERROR(util::CheckFlagRange("seed", seed, -1, INT64_MAX));
   if (peers > 0) scenario->peers = static_cast<uint32_t>(peers);
   if (rounds > 0) scenario->rounds = rounds;

@@ -11,9 +11,10 @@ namespace p2p {
 namespace scenario {
 
 util::Status Scenario::Validate() const {
-  if (rounds < 1) {
-    return util::Status::InvalidArgument("rounds must be >= 1, got " +
-                                         std::to_string(rounds));
+  if (rounds < 1 || rounds > sim::kMaxRunRounds) {
+    return util::Status::InvalidArgument(
+        "rounds must be in [1, " + std::to_string(sim::kMaxRunRounds) +
+        "], got " + std::to_string(rounds));
   }
   P2P_RETURN_IF_ERROR(metrics::ResolveMetricSelection(metrics).status());
   P2P_RETURN_IF_ERROR(population.Validate());

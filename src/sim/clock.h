@@ -15,6 +15,12 @@ using Round = int64_t;
 /// A round that never arrives (used for "no scheduled event").
 constexpr Round kNever = INT64_MAX;
 
+/// The longest run a scenario may ask for (about 490,000 years of hourly
+/// rounds). Every round of such a run fits 32 bits, which is what lets a
+/// partnership store its formation round in 32 bits; option delays
+/// (partner timeout, departure grace) share the same bound.
+constexpr Round kMaxRunRounds = UINT32_MAX;
+
 /// \name Calendar conversions (1 round = 1 hour; months are 30 days as in
 /// the paper's category boundaries).
 /// @{

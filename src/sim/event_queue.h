@@ -3,15 +3,23 @@
 // The backup network schedules tens of millions of small POD events
 // (departures, session toggles, timeout probes) per paper-scale run; a
 // binary heap of std::function would dominate the runtime. This queue is a
-// ring of plain vectors indexed by round, growing its horizon on demand.
+// power-of-two ring of rounds, growing its horizon on demand. A ring slot
+// holds only the head and tail of its round's event list; the events
+// themselves live in one pooled node arena per queue, recycled through a
+// free list. Memory therefore follows the events pending right now (plus
+// eight bytes per ring slot), not the busiest round each slot ever held,
+// and once the arena reaches the queue's high-water mark of pending events
+// scheduling never allocates.
 
 #ifndef P2P_SIM_EVENT_QUEUE_H_
 #define P2P_SIM_EVENT_QUEUE_H_
 
 #include <cassert>
+#include <cstdint>
 #include <vector>
 
 #include "sim/clock.h"
+#include "util/logging.h"
 
 namespace p2p {
 namespace sim {
@@ -26,50 +34,53 @@ class CalendarQueue {
  public:
   /// Creates a queue starting at round 0 with an initial horizon.
   explicit CalendarQueue(Round initial_horizon = 1024)
-      : base_(0), slots_(NextPow2(initial_horizon)) {}
+      : slots_(NextPow2(initial_horizon)) {}
 
   /// Schedules `event` at absolute round `at` (>= current round).
   void Schedule(Round at, E event) {
     assert(at >= base_);
     const Round offset = at - base_;
     if (offset >= static_cast<Round>(slots_.size())) Grow(offset + 1);
-    slots_[Index(at)].push_back(std::move(event));
+    const uint32_t node = NewNode(std::move(event));
+    Slot& slot = slots_[Index(at)];
+    if (slot.head == kNil) {
+      slot.head = node;
+    } else {
+      nodes_[slot.tail].next = node;
+    }
+    slot.tail = node;
     ++size_;
   }
 
   /// Returns and clears the events scheduled for round `at`; `at` must be
   /// the current round (rounds are consumed in order).
   std::vector<E> Drain(Round at) {
-    assert(at == base_);
-    std::vector<E> out = std::move(slots_[Index(at)]);
-    slots_[Index(at)].clear();
-    ++base_;
-    size_ -= out.size();
+    std::vector<E> out;
+    DrainInto(at, [&](E& e) { out.push_back(std::move(e)); });
     return out;
   }
 
-  /// Drains via callback. The slot is detached first, so callbacks may
-  /// safely Schedule() into this queue (at rounds > `at`) while draining;
-  /// the drained vector's capacity is recycled.
+  /// Drains round `at` (the current round) via callback, in FIFO order. The
+  /// round's list is detached first and each node is recycled before its
+  /// event is handed over, so callbacks may safely Schedule() into this
+  /// queue (at rounds > `at`) while draining.
   template <typename Fn>
   void DrainInto(Round at, Fn&& fn) {
     assert(at == base_);
-    drain_scratch_.clear();
-    drain_scratch_.swap(slots_[Index(at)]);
-    size_ -= drain_scratch_.size();
+    Slot& slot = slots_[Index(at)];
+    uint32_t node = slot.head;
+    slot = Slot{};
     ++base_;
-    for (E& e : drain_scratch_) fn(e);
-    // Hand the slot its own buffer back (unless a callback scheduled a full
-    // horizon ahead into it, which keeps the swapped-in buffer instead).
-    // Without this, each slot inherits the capacity of whatever round was
-    // drained before it; under clustered schedules (diurnal reconnect
-    // waves) the busy slots then regrow from a small buffer every lap of
-    // the ring, which shows up as steady-state allocations in the round
-    // loop. With it, every slot converges on its own high-water capacity.
-    auto& slot = slots_[Index(at)];
-    if (slot.empty() && slot.capacity() < drain_scratch_.capacity()) {
-      drain_scratch_.clear();
-      slot.swap(drain_scratch_);
+    while (node != kNil) {
+      // Copy out before the callback: a Schedule() inside it may grow (and
+      // move) the arena, or reuse this very node.
+      E event = std::move(nodes_[node].event);
+      const uint32_t next = nodes_[node].next;
+      nodes_[node].next = free_;
+      free_ = node;
+      --size_;
+      fn(event);
+      node = next;
     }
   }
 
@@ -79,7 +90,33 @@ class CalendarQueue {
   /// The next round that will be drained.
   Round current_round() const { return base_; }
 
+  /// Ring length in slots (tests hold it to the run's horizon).
+  size_t ring_slots() const { return slots_.size(); }
+
+  /// The latest round holding a pending event, or current_round() - 1 when
+  /// the queue is empty. O(ring length); for tests and diagnostics.
+  Round LastPendingRound() const {
+    for (Round at = base_ + static_cast<Round>(slots_.size()) - 1; at >= base_;
+         --at) {
+      if (slots_[Index(at)].head != kNil) return at;
+    }
+    return base_ - 1;
+  }
+
  private:
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  // One round's event list: arena indices of its first and last node.
+  struct Slot {
+    uint32_t head = kNil;
+    uint32_t tail = kNil;
+  };
+  // A pending event, or (while on the free list) a recycled one.
+  struct Node {
+    E event;
+    uint32_t next;
+  };
+
   static size_t NextPow2(Round v) {
     size_t p = 1;
     while (p < static_cast<size_t>(v)) p <<= 1;
@@ -90,15 +127,25 @@ class CalendarQueue {
     return static_cast<size_t>(at) & (slots_.size() - 1);
   }
 
+  uint32_t NewNode(E event) {
+    if (free_ != kNil) {
+      const uint32_t node = free_;
+      free_ = nodes_[node].next;
+      nodes_[node] = Node{std::move(event), kNil};
+      return node;
+    }
+    P2P_CHECK(nodes_.size() < kNil);  // node indices are 32-bit
+    nodes_.push_back(Node{std::move(event), kNil});
+    return static_cast<uint32_t>(nodes_.size() - 1);
+  }
+
   void Grow(Round needed) {
     const size_t new_size = NextPow2(needed);
-    std::vector<std::vector<E>> fresh(new_size);
+    std::vector<Slot> fresh(new_size);
     for (size_t i = 0; i < slots_.size(); ++i) {
       // Re-home every pending slot at its new index.
       const Round at = base_ + RelativeOffset(i);
-      if (!slots_[i].empty()) {
-        fresh[static_cast<size_t>(at) & (new_size - 1)] = std::move(slots_[i]);
-      }
+      fresh[static_cast<size_t>(at) & (new_size - 1)] = slots_[i];
     }
     slots_ = std::move(fresh);
   }
@@ -109,10 +156,11 @@ class CalendarQueue {
     return static_cast<Round>((i + slots_.size() - base_idx) & (slots_.size() - 1));
   }
 
-  Round base_;
+  Round base_ = 0;
   size_t size_ = 0;
-  std::vector<std::vector<E>> slots_;
-  std::vector<E> drain_scratch_;
+  std::vector<Slot> slots_;
+  std::vector<Node> nodes_;
+  uint32_t free_ = kNil;  // head of the recycled-node list
 };
 
 }  // namespace sim

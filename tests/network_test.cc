@@ -8,6 +8,7 @@
 #include <climits>
 #include <vector>
 
+#include "backup/hotpath_probe.h"
 #include "backup/network.h"
 #include "backup/options.h"
 #include "churn/profile.h"
@@ -256,6 +257,35 @@ TEST(NetworkTest, DepartureGraceDelaysQuotaRelease) {
   const auto profiles = churn::ProfileSet::Paper();
   const auto r = RunSmall(opts, sim::MonthsToRounds(4), 29, profiles, 4);
   EXPECT_GT(r.departures, 0);  // grace path exercised + invariants
+}
+
+TEST(NetworkTest, EventQueuesStayWithinTheRun) {
+  // Heavy-tailed lifetimes draw departures far past the end of a run (the
+  // Pareto tail reaches millions of rounds). An event at or past the end
+  // round can never fire, so none is scheduled: at every point of the run
+  // no queue holds one, and every ring stays within NextPow2(end_round)
+  // slots. A departure grace keeps the ghost-quota queue busy too.
+  constexpr sim::Round kEnd = 1500;
+  constexpr size_t kEndPow2 = 2048;
+  const auto profiles = churn::ProfileSet::ParetoMix(
+      static_cast<double>(sim::MonthsToRounds(1)), 1.1);
+  SystemOptions opts = SmallOptions();
+  opts.departure_grace = sim::kRoundsPerWeek;
+  sim::EngineOptions eopts;
+  eopts.seed = 42;
+  eopts.end_round = kEnd;
+  sim::Engine engine(eopts);
+  BackupNetwork network(&engine, &profiles, opts);
+  const HotPathProbe probe(&network);
+  sim::Round latest = -1;
+  do {
+    latest = std::max(latest, probe.LastPendingRound());
+    ASSERT_LT(probe.LastPendingRound(), kEnd) << "round " << engine.now();
+    ASSERT_LE(probe.MaxRingSlots(), kEndPow2) << "round " << engine.now();
+  } while (engine.Step());
+  EXPECT_GT(latest, kEnd - sim::kRoundsPerDay);  // queues reach the end
+  EXPECT_GT(network.metrics().departures(), 0);
+  network.CheckInvariants();
 }
 
 TEST(NetworkTest, RepairsGrowWithThreshold) {

@@ -408,6 +408,14 @@ TEST(TextTest, ErrorsNameLineAndToken) {
        {"line 2", "unknown option", "sample_interval"}},
       {"name = x\ntransfer.enabled = true\n",
        {"line 2", "unknown key", "transfer.enabled"}},
+      // Run length and the delays that share its bound (4294967295 rounds):
+      // past it a round no longer fits where the network stores it, and
+      // "now + delay" could overflow.
+      {"name = x\nrounds = 4294967296\n", {"rounds", "4294967296"}},
+      {"name = x\noptions.partner_timeout = 9223372036854775807\n",
+       {"partner_timeout", "9223372036854775807"}},
+      {"name = x\noptions.departure_grace = 9223372036854775807\n",
+       {"departure_grace", "9223372036854775807"}},
   };
   for (const auto& c : kCases) {
     const auto bad = ParseScenarioText(c.text);
@@ -624,7 +632,8 @@ TEST(RegistryTest, ScaleFlagsRejectValuesTheScenarioCannotHold) {
   const Case kBad[] = {
       {"--peers=-5", "--peers"},          {"--peers=4294967296", "--peers"},
       {"--peers=4294967312", "--peers"},  {"--rounds=-7", "--rounds"},
-      {"--rounds=-1", "--rounds"},        {"--seed=-2", "--seed"},
+      {"--rounds=-1", "--rounds"},        {"--rounds=4294967296", "--rounds"},
+      {"--seed=-2", "--seed"},
   };
   for (const Case& c : kBad) {
     SCOPED_TRACE(c.arg);
@@ -651,7 +660,7 @@ TEST(RegistryTest, ScaleFlagsRejectValuesTheScenarioCannotHold) {
   const Good kGood[] = {
       {0, 0, -1, base.peers, base.rounds, base.seed},
       {UINT32_MAX, 1, 0, UINT32_MAX, 1, 0},
-      {16, INT64_MAX, INT64_MAX, 16, INT64_MAX,
+      {16, sim::kMaxRunRounds, INT64_MAX, 16, sim::kMaxRunRounds,
        static_cast<uint64_t>(INT64_MAX)},
   };
   for (const Good& g : kGood) {
