@@ -3,16 +3,15 @@
 // The full estimator x scenario grid through the parallel sweep runner
 // (common random numbers: cells differ only by the knob under study):
 //   age-rank              - the paper's criterion (the baseline)
-//   pareto-residual       - the paper's analytic model, scored directly
-//   empirical-residual    - departure-age CDF learned during the run
 //   availability-weighted - age rank discounted by measured recent uptime
 // across three churn worlds: the paper's profile table, shared heavy-tailed
 // Pareto lifetimes, and the flash-crowd join wave.
 //
-// The paper's claim predicts all age-monotone estimators stratify repairs
-// away from elders; the interesting deltas are (a) whether the learned CDF
-// matches the parametric model it never saw, and (b) whether uptime
-// weighting buys fewer losses under diurnal/flaky availability.
+// Selection ranks by (score, age), so any score monotone in age - a Pareto
+// or empirical residual-lifetime model included - places exactly as
+// age-rank does. The question is whether uptime weighting, the one signal
+// beyond age, buys fewer repairs or losses under diurnal/flaky
+// availability. Pass --estimators to sweep its exponent or floor.
 //
 //   ./bench_ablation_estimators [--paper] [--peers=N] [--rounds=R]
 //                               [--worlds=paper,pareto,flash-crowd]
@@ -35,8 +34,7 @@ int main(int argc, char** argv) {
   spec.base.peers = 1500;
   spec.base.rounds = 18'000;
   std::string worlds_csv = "paper,pareto,flash-crowd";
-  std::string estimators_csv =
-      "age-rank,pareto-residual,empirical-residual,availability-weighted";
+  std::string estimators_csv = "age-rank,availability-weighted";
   int threads = 0;
 
   util::FlagSet flags;

@@ -106,8 +106,8 @@ void BM_MonitorAvailabilityQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_MonitorAvailabilityQuery)->Arg(16)->Arg(256)->Arg(1024);
 
-// The full observation triple the estimator scores per pooled candidate:
-// age, last-seen, and the window query above.
+// The observation the estimator scores per pooled candidate: age and the
+// window query above.
 void BM_MonitorObserve(benchmark::State& state) {
   sim::Round now = 0;
   const auto mon = SessionHeavyMonitor(static_cast<int>(state.range(0)), &now);

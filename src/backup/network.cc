@@ -211,8 +211,6 @@ void BackupNetwork::DepartPeer(PeerId id, sim::Round now, bool replace) {
   --live_count_;
   collector_.OnDeparture(id, CategoryAt(id, now));
   monitor_.RecordDeparture(id, now);
-  // Online estimators learn the departure-age distribution as it unfolds.
-  estimator_->ObserveDeparture(now - p.join_round);
 
   // The machine is gone: every block it hosted disappears now.
   SeverAsHost(id, now);
@@ -880,15 +878,15 @@ int BackupNetwork::BuildPool(PeerId owner, int needed,
   }
   // One monitor snapshot pass per episode scores the whole pool: the
   // estimator ranks by what the monitoring protocol can actually answer
-  // (age, recent uptime, last-seen). Scores are memoized per (peer, round):
-  // every monitor event and estimator update lands in the adjustment/churn
-  // phases that run strictly before this repairs phase, so a peer pooled by
-  // many repairing owners in one round is scored once.
+  // (age, recent uptime). Scores are memoized per (peer, round): every
+  // monitor event lands in the adjustment/churn phases that run strictly
+  // before this repairs phase, so a peer pooled by many repairing owners in
+  // one round is scored once.
   {
     TRACE_SCOPE("repair/score");
     // Age-only scoring: an estimator that never reads availability is
     // scored without the monitor's window search.
-    const bool reads_availability = estimator_->ReadsAvailability();
+    const bool reads_availability = estimator_->reads_availability();
     for (core::Candidate& cand : *pool) {
       if (score_round_[cand.id] == now) {
         ++pool_stats_.score_memo_hits;

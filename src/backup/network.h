@@ -525,11 +525,11 @@ class BackupNetwork {
   // candidates, so the lane holds plain join rounds, not EffectiveJoin.
   std::vector<sim::Round> join_lane_;
 
-  // Per-round stability-score memo. Safe because every input of a score -
-  // monitor history (RecordConnect/Disconnect/Join/Departure) and estimator
-  // state (ObserveDeparture) - mutates only in the adjustment/churn phases,
-  // which run strictly before the repairs phase that computes scores; within
-  // one repairs phase a peer's score is constant.
+  // Per-round stability-score memo. Safe because the only input of a score
+  // that changes - monitor history (RecordConnect/Disconnect/Join/Departure)
+  // - mutates only in the adjustment/churn phases, which run strictly before
+  // the repairs phase that computes scores; within one repairs phase a
+  // peer's score is constant.
   std::vector<sim::Round> score_round_;  // round the memo entry is valid for
   std::vector<double> score_val_;
 

@@ -57,8 +57,9 @@ struct SystemOptions {
   int quota_blocks = 384;
 
   /// Visibility semantics (see VisibilityModel). The timeout model with a
-  /// 12-hour write-off over diurnal sessions is the calibration that
-  /// reproduces the paper's figure shapes (see EXPERIMENTS.md).
+  /// 12-hour write-off over diurnal sessions was tuned to reproduce the
+  /// shapes of the paper's figures, not its oldest-first vs random
+  /// comparison; that comparison is ROADMAP.md's first open item.
   VisibilityModel visibility = VisibilityModel::kTimeoutPresumed;
 
   /// kTimeoutPresumed only: rounds a partner may stay unreachable before its

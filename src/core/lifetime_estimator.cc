@@ -7,150 +7,18 @@
 namespace p2p {
 namespace core {
 
-AgeRankEstimator::AgeRankEstimator(sim::Round horizon) : horizon_(horizon) {
-  assert(horizon >= 1);
-}
-
-double AgeRankEstimator::StabilityScore(const PeerObservation& obs) const {
-  return static_cast<double>(std::min(obs.age, horizon_));
-}
-
-double AgeRankEstimator::ExpectedResidualRounds(
-    const PeerObservation& obs) const {
-  // The rank estimator has no parametric model; a linear optimistic proxy
-  // (you will stay at least as long as you already did) is the classic
-  // doubling heuristic for heavy-tailed lifetimes.
-  return static_cast<double>(std::max<sim::Round>(obs.age, 1));
-}
-
-ParetoResidualEstimator::ParetoResidualEstimator(double scale_rounds,
-                                                double shape)
-    : scale_(scale_rounds), shape_(shape) {
-  assert(scale_rounds >= 1.0 && shape > 0.0);
-}
-
-double ParetoResidualEstimator::StabilityScore(
-    const PeerObservation& obs) const {
-  return ExpectedResidualRounds(obs);
-}
-
-double ParetoResidualEstimator::ExpectedResidualRounds(
-    const PeerObservation& obs) const {
-  const double a = std::max(static_cast<double>(obs.age), scale_);
-  if (shape_ <= 1.0) {
-    // Infinite mean: residual expectation diverges; still monotone in age.
-    return a * 1e6;
-  }
-  // E[T | T > a] = shape/(shape-1) * a, so the residual is a/(shape-1).
-  return a / (shape_ - 1.0);
-}
-
-EmpiricalResidualEstimator::EmpiricalResidualEstimator(int buckets,
-                                                       sim::Round bucket_rounds,
-                                                       sim::Round horizon)
-    : bucket_rounds_(bucket_rounds),
-      horizon_(horizon),
-      counts_(static_cast<size_t>(buckets), 0),
-      age_sums_(static_cast<size_t>(buckets), 0),
-      counts_below_(static_cast<size_t>(buckets), 0) {
-  assert(buckets >= 2 && bucket_rounds >= 1 && horizon >= 1);
-}
-
-void EmpiricalResidualEstimator::ObserveDeparture(sim::Round age_at_departure) {
-  const sim::Round age = std::max<sim::Round>(age_at_departure, 0);
-  const size_t bucket = std::min(static_cast<size_t>(age / bucket_rounds_),
-                                 counts_.size() - 1);
-  ++counts_[bucket];
-  age_sums_[bucket] += age;
-  ++total_;
-  prefix_stale_ = true;
-}
-
-double EmpiricalResidualEstimator::CdfCount(sim::Round age) const {
-  if (prefix_stale_) {
-    int64_t running = 0;
-    for (size_t b = 0; b < counts_.size(); ++b) {
-      counts_below_[b] = running;
-      running += counts_[b];
-    }
-    prefix_stale_ = false;
-  }
-  const size_t last = counts_.size() - 1;
-  const size_t bucket =
-      std::min(static_cast<size_t>(age / bucket_rounds_), last);
-  const double below = static_cast<double>(counts_below_[bucket]);
-  const sim::Round lo = static_cast<sim::Round>(bucket) * bucket_rounds_;
-  double frac;
-  if (bucket == last) {
-    // Open-ended tail bucket: approach full membership asymptotically so the
-    // count stays monotone and continuous however old the candidate is.
-    const double past = static_cast<double>(age - lo);
-    frac = past / (past + static_cast<double>(bucket_rounds_));
-  } else {
-    frac = static_cast<double>(age - lo) / static_cast<double>(bucket_rounds_);
-  }
-  return below + frac * static_cast<double>(counts_[bucket]);
-}
-
-double EmpiricalResidualEstimator::StabilityScore(
-    const PeerObservation& obs) const {
-  // Interpolated departures outlived, plus a bounded age-rank term: before
-  // any departure is observed this is exactly the paper's age ordering, and
-  // it breaks ties among peers beyond the data.
-  const double tie =
-      static_cast<double>(std::min(obs.age, horizon_)) /
-      static_cast<double>(horizon_);
-  return CdfCount(obs.age) + tie;
-}
-
-double EmpiricalResidualEstimator::ExpectedResidualRounds(
-    const PeerObservation& obs) const {
-  // Empirical mean residual over the departures observed at ages beyond the
-  // candidate's bucket; bucket-granular on purpose (it is an estimate).
-  const size_t bucket = std::min(
-      static_cast<size_t>(obs.age / bucket_rounds_), counts_.size() - 1);
-  int64_t count_above = 0;
-  int64_t age_sum_above = 0;
-  for (size_t b = bucket + 1; b < counts_.size(); ++b) {
-    count_above += counts_[b];
-    age_sum_above += age_sums_[b];
-  }
-  if (count_above == 0) {
-    // No observed departure older than this peer: fall back to the
-    // optimistic age proxy.
-    return static_cast<double>(std::max<sim::Round>(obs.age, 1));
-  }
-  return (static_cast<double>(age_sum_above) -
-          static_cast<double>(obs.age) * static_cast<double>(count_above)) /
-         static_cast<double>(count_above);
-}
-
-AvailabilityWeightedEstimator::AvailabilityWeightedEstimator(sim::Round horizon,
-                                                             double exponent,
-                                                             double floor)
+LifetimeEstimator::LifetimeEstimator(sim::Round horizon, double exponent,
+                                     double floor)
     : horizon_(horizon), exponent_(exponent), floor_(floor) {
   assert(horizon >= 1 && exponent >= 0.0 && floor >= 0.0 && floor <= 1.0);
 }
 
-double AvailabilityWeightedEstimator::Weight(double availability) const {
-  const double a = std::clamp(availability, 0.0, 1.0);
-  // The floor keeps newly observed (or briefly offline) peers selectable:
-  // weight is in [floor^exponent, 1].
-  return std::pow(floor_ + (1.0 - floor_) * a, exponent_);
-}
-
-double AvailabilityWeightedEstimator::StabilityScore(
-    const PeerObservation& obs) const {
-  return static_cast<double>(std::min(obs.age, horizon_)) *
-         Weight(obs.availability);
-}
-
-double AvailabilityWeightedEstimator::ExpectedResidualRounds(
-    const PeerObservation& obs) const {
-  // Age proxy discounted by reachability: a peer online half the time yields
-  // half the usable residual lifetime.
-  return static_cast<double>(std::max<sim::Round>(obs.age, 1)) *
-         Weight(obs.availability);
+double LifetimeEstimator::StabilityScore(const PeerObservation& obs) const {
+  const double age = static_cast<double>(std::min(obs.age, horizon_));
+  // pow(x, 0) == 1 exactly, so skipping it at exponent 0 changes no score.
+  if (!reads_availability()) return age;
+  const double a = std::clamp(obs.availability, 0.0, 1.0);
+  return age * std::pow(floor_ + (1.0 - floor_) * a, exponent_);
 }
 
 }  // namespace core

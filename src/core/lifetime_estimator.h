@@ -1,32 +1,28 @@
 // Lifetime estimation from observable peer behaviour - the paper's "new
-// criteria, the age, to estimate the reliability of a peer", generalized to
-// a pluggable estimator family.
+// criteria, the age, to estimate the reliability of a peer".
 //
 // The protocol needs a ranking ("the longer a node has been in the system,
-// the more stable it will be considered"); an estimator maps what the
-// availability monitor can observe about a peer - its age, its recent
-// uptime, how long since it was last seen - to a stability score, and the
-// selection strategies rank placement candidates by that score.
+// the more stable it will be considered"); the estimator maps what the
+// availability monitor can observe about a peer - its age and its recent
+// uptime - to a stability score, and the selection strategies rank
+// placement candidates by that score.
 //
-// Four estimators are in the table (strategy_registry.h):
-//   age-rank              score = min(age, horizon); the paper's criterion.
-//   pareto-residual       expected residual lifetime under Pareto lifetimes
-//                         (the paper's analytic justification for age-rank).
-//   empirical-residual    per-run histogram CDF of observed departure ages,
-//                         learned online as the simulation runs.
+// One formula backs both rows of the estimator table (strategy_registry.h):
+//   score = min(age, horizon) * (floor + (1 - floor) * availability)^exponent
+//   age-rank              exponent 0: min(age, horizon), the paper's criterion.
 //   availability-weighted age rank discounted by recent uptime, in the
 //                         spirit of Dell'Amico et al.'s adaptive redundancy.
 //
 // Scores are nonnegative with arbitrary scale: only the induced ranking
-// matters to selection. Every estimator must be monotone nondecreasing in
-// age at fixed availability (property-tested for every table row), so
-// ranking by score refines - never contradicts - the paper's age ordering.
+// matters. Selection ranks by (score, age), so a score that never decreases
+// with age places exactly as age-rank does - a residual-lifetime model of
+// age (Pareto, or an empirical departure-age CDF) is such a monotone
+// transform and adds no row. The score is monotone nondecreasing in age at
+// fixed availability, and every row but age-rank must change at least one
+// placement (both property-tested for every table row).
 
 #ifndef P2P_CORE_LIFETIME_ESTIMATOR_H_
 #define P2P_CORE_LIFETIME_ESTIMATOR_H_
-
-#include <memory>
-#include <vector>
 
 #include "sim/clock.h"
 
@@ -40,116 +36,28 @@ struct PeerObservation {
   sim::Round age = 0;
   /// Fraction of a recent window the peer was online, in [0, 1].
   double availability = 0.0;
-  /// Rounds since the peer was last seen online; 0 while online.
-  sim::Round rounds_since_seen = 0;
 };
 
-/// \brief Maps an observation to a stability score (monotone nondecreasing
-/// in age at fixed availability; arbitrary nonnegative scale).
+/// \brief Maps an observation to a stability score:
+/// min(age, horizon) * (floor + (1 - floor) * availability)^exponent.
 class LifetimeEstimator {
  public:
-  virtual ~LifetimeEstimator() = default;
+  /// Peers older than `horizon` are "not much different" from each other.
+  /// `exponent` 0 is the paper's age rank; `floor` keeps a peer with no
+  /// measured uptime selectable (its weight is floor^exponent, not 0).
+  explicit LifetimeEstimator(sim::Round horizon, double exponent = 0.0,
+                             double floor = 0.0);
 
   /// Stability score; larger means expected to stay longer.
-  virtual double StabilityScore(const PeerObservation& obs) const = 0;
-
-  /// Expected remaining lifetime in rounds given the observation (may be an
-  /// upper-bound heuristic; used by adaptive policies and reports).
-  virtual double ExpectedResidualRounds(const PeerObservation& obs) const = 0;
-
-  /// Online-learning hook: the network reports every definitive departure
-  /// with the departed peer's final age. Parametric estimators ignore it;
-  /// empirical-residual builds its departure-age histogram from it.
-  virtual void ObserveDeparture(sim::Round /*age_at_departure*/) {}
+  double StabilityScore(const PeerObservation& obs) const;
 
   /// True when the score depends on PeerObservation::availability. An
   /// estimator that says false is scored from an observation whose
-  /// availability was never measured (the monitor skips its window search
-  /// for it); the property suite checks that such a score ignores both
-  /// availability and rounds_since_seen.
-  virtual bool ReadsAvailability() const { return true; }
-};
-
-/// The paper's criterion: score = min(age, L). Peers older than the horizon
-/// are "not much different" from each other.
-class AgeRankEstimator : public LifetimeEstimator {
- public:
-  explicit AgeRankEstimator(sim::Round horizon = 90 * sim::kRoundsPerDay);
-  double StabilityScore(const PeerObservation& obs) const override;
-  double ExpectedResidualRounds(const PeerObservation& obs) const override;
-  bool ReadsAvailability() const override { return false; }
+  /// availability was never measured (the network skips the monitor's
+  /// window search for it).
+  bool reads_availability() const { return exponent_ != 0.0; }
 
  private:
-  sim::Round horizon_;
-};
-
-/// Residual lifetime under Pareto(scale, shape) lifetimes: for shape > 1,
-/// E[T | T > a] = shape/(shape-1) * max(a, scale), so the residual grows
-/// linearly with age - the formal version of the paper's fidelity property.
-class ParetoResidualEstimator : public LifetimeEstimator {
- public:
-  ParetoResidualEstimator(double scale_rounds, double shape);
-  double StabilityScore(const PeerObservation& obs) const override;
-  double ExpectedResidualRounds(const PeerObservation& obs) const override;
-  bool ReadsAvailability() const override { return false; }
-
- private:
-  double scale_;
-  double shape_;
-};
-
-/// Nonparametric online estimator: a histogram of observed departure ages
-/// (`buckets` buckets of `bucket_rounds` each, last bucket open-ended),
-/// updated by ObserveDeparture as the run progresses. The score is the
-/// interpolated empirical CDF at the candidate's age - how much of the
-/// observed departure-age distribution the peer has already outlived - plus
-/// a [0, 1) age-rank tie-break so the estimator degenerates to the paper's
-/// criterion before any departure has been observed.
-class EmpiricalResidualEstimator : public LifetimeEstimator {
- public:
-  EmpiricalResidualEstimator(int buckets, sim::Round bucket_rounds,
-                             sim::Round horizon);
-  double StabilityScore(const PeerObservation& obs) const override;
-  double ExpectedResidualRounds(const PeerObservation& obs) const override;
-  void ObserveDeparture(sim::Round age_at_departure) override;
-  bool ReadsAvailability() const override { return false; }
-
-  /// Departures observed so far (tests, reports).
-  int64_t observed_departures() const { return total_; }
-
- private:
-  /// Interpolated count of observed departures at ages <= age; monotone
-  /// nondecreasing and continuous in age. O(1) per call off the lazily
-  /// rebuilt prefix sums (scoring runs per candidate in the placement hot
-  /// path; the histogram only changes on departures).
-  double CdfCount(sim::Round age) const;
-
-  sim::Round bucket_rounds_;
-  sim::Round horizon_;
-  std::vector<int64_t> counts_;    // departures per age bucket
-  std::vector<int64_t> age_sums_;  // sum of departure ages per bucket
-  int64_t total_ = 0;
-  // counts_ summed over buckets strictly below each index; rebuilt on the
-  // first score after a departure.
-  mutable std::vector<int64_t> counts_below_;
-  mutable bool prefix_stale_ = false;
-};
-
-/// Age rank discounted by measured recent uptime: score =
-/// min(age, horizon) * (floor + (1 - floor) * availability)^exponent.
-/// Among equally old peers the monitor's recent-uptime signal breaks the
-/// tie toward the machines that are actually reachable - availability-aware
-/// placement in the spirit of Dell'Amico et al.
-class AvailabilityWeightedEstimator : public LifetimeEstimator {
- public:
-  AvailabilityWeightedEstimator(sim::Round horizon, double exponent,
-                                double floor);
-  double StabilityScore(const PeerObservation& obs) const override;
-  double ExpectedResidualRounds(const PeerObservation& obs) const override;
-
- private:
-  double Weight(double availability) const;
-
   sim::Round horizon_;
   double exponent_;
   double floor_;

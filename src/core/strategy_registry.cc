@@ -200,38 +200,7 @@ const StrategyFamily<LifetimeEstimator>& Family() {
                             "age saturation horizon L, rounds")},
            nullptr,
            [](const ResolvedParams& p, const StrategyEnv&) {
-             return std::make_unique<AgeRankEstimator>(
-                 static_cast<sim::Round>(p.Int("horizon")));
-           }},
-          {"pareto-residual",
-           "expected residual lifetime under Pareto(scale, shape) "
-           "lifetimes (the paper's analytic model)",
-           {
-               DoubleParam("scale", 24.0, 1.0, 1e9,
-                           "Pareto scale (minimum lifetime), rounds"),
-               DoubleParam("shape", 2.0, 0.01, 64.0,
-                           "Pareto tail exponent; <= 1 is the infinite-mean "
-                           "regime"),
-           },
-           nullptr,
-           [](const ResolvedParams& p, const StrategyEnv&) {
-             return std::make_unique<ParetoResidualEstimator>(
-                 p.Double("scale"), p.Double("shape"));
-           }},
-          {"empirical-residual",
-           "departure-age histogram CDF learned online during the run",
-           {
-               IntParam("buckets", 90, 2, 1 << 16, "histogram buckets"),
-               IntParam("bucket_rounds", sim::kRoundsPerDay, 1, 1 << 20,
-                        "rounds per bucket (default one day)"),
-               ContextualParam("horizon", ContextDefault::kAcceptanceHorizon,
-                               "age-rank tie-break horizon, rounds"),
-           },
-           nullptr,
-           [](const ResolvedParams& p, const StrategyEnv&) {
-             return std::make_unique<EmpiricalResidualEstimator>(
-                 static_cast<int>(p.Int("buckets")),
-                 static_cast<sim::Round>(p.Int("bucket_rounds")),
+             return std::make_unique<LifetimeEstimator>(
                  static_cast<sim::Round>(p.Int("horizon")));
            }},
           {"availability-weighted",
@@ -247,7 +216,7 @@ const StrategyFamily<LifetimeEstimator>& Family() {
            },
            nullptr,
            [](const ResolvedParams& p, const StrategyEnv&) {
-             return std::make_unique<AvailabilityWeightedEstimator>(
+             return std::make_unique<LifetimeEstimator>(
                  static_cast<sim::Round>(p.Int("horizon")),
                  p.Double("exponent"), p.Double("floor"));
            }},

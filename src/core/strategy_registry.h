@@ -88,8 +88,7 @@ struct StrategyDescriptor {
   std::vector<ParamInfo> params;
   /// Cross-parameter consistency check (e.g. floor <= ceiling); optional.
   std::function<util::Status(const ResolvedParams&)> check;
-  /// Makes a fresh instance: estimators may be stateful (the empirical
-  /// family learns from observed departures), so each network gets its own.
+  /// Makes a fresh instance, so no two networks share one.
   std::function<std::unique_ptr<Product>(const ResolvedParams&,
                                          const StrategyEnv&)>
       make;

@@ -109,8 +109,6 @@ core::PeerObservation AvailabilityMonitor::ObserveAge(PeerId peer,
   ++query_stats_.observe_calls;
   core::PeerObservation obs;
   obs.age = Age(peer, now);
-  const sim::Round seen = LastSeen(peer, now);
-  obs.rounds_since_seen = seen < 0 ? obs.age : now - seen;
   return obs;
 }
 

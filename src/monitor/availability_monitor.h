@@ -11,13 +11,13 @@
 // window query costs O(log sessions) (a binary search plus prefix-sum
 // arithmetic), not a scan of the whole window.
 //
-// The estimator-driven placement path asks for the full observation triple
-// (age, availability, rounds since seen) for every pooled candidate of
-// every maintenance episode. Observe computes it afresh on every call; the
-// network's per-round score memo already makes sure a peer sampled by many
-// repairing owners in one round is observed once. Estimators that never
-// read availability are served by ObserveAge, which skips the window
-// search and is counted as the same query.
+// The estimator-driven placement path asks for the observation (age and
+// availability) of every pooled candidate of every maintenance episode.
+// Observe computes it afresh on every call; the network's per-round score
+// memo already makes sure a peer sampled by many repairing owners in one
+// round is observed once. Estimators that never read availability are
+// served by ObserveAge, which skips the window search and is counted as the
+// same query.
 
 #ifndef P2P_MONITOR_AVAILABILITY_MONITOR_H_
 #define P2P_MONITOR_AVAILABILITY_MONITOR_H_
@@ -74,13 +74,13 @@ class AvailabilityMonitor {
 
   /// \name Estimator snapshots.
   /// @{
-  /// The full observation triple for one peer: age, availability over
-  /// `window`, rounds since last seen (the peer's whole age if never seen).
+  /// The observation for one peer: its age and its availability over
+  /// `window`.
   core::PeerObservation Observe(PeerId peer, sim::Round window,
                                 sim::Round now) const;
-  /// Observe without the availability search: age and rounds since last
-  /// seen as Observe reports them, availability left at 0 (not measured).
-  /// For estimators whose ReadsAvailability() is false.
+  /// Observe without the availability search: the age as Observe reports
+  /// it, availability left at 0 (not measured). For estimators whose
+  /// reads_availability() is false.
   core::PeerObservation ObserveAge(PeerId peer, sim::Round now) const;
   /// @}
 

@@ -1,5 +1,6 @@
 #include "sweep/spec.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "metrics/registry.h"
@@ -48,8 +49,8 @@ std::function<void(Scenario*)> SetOption(T backup::SystemOptions::*field,
 // base value). `resolve` turns one item into its point or an error.
 template <typename T, typename Resolve>
 util::Status AddAxis(const char* token, const std::vector<T>& items,
-                     Resolve resolve, std::vector<Axis>* axes,
-                     const char* error_context = "") {
+                     const Resolve& resolve, const char* error_context,
+                     std::vector<Axis>* axes) {
   if (items.empty()) return util::Status::OK();
   Axis axis{token, error_context, {}};
   axis.points.reserve(items.size());
@@ -61,56 +62,54 @@ util::Status AddAxis(const char* token, const std::vector<T>& items,
   return util::Status::OK();
 }
 
-// A strategy axis: each token is parsed against its family's table (errors
+// Resolves one token of a strategy axis against its family's table (errors
 // name the axis and token); coordinates carry the canonical spec form.
 template <typename Spec>
-util::Status AddStrategyAxis(const char* token,
-                             const std::vector<std::string>& items,
-                             Spec backup::SystemOptions::*field,
-                             std::vector<Axis>* axes,
-                             const char* error_context = "") {
-  return AddAxis(
-      token, items,
-      [&](const std::string& item) -> util::Result<Axis::Point> {
-        util::Result<Spec> parsed = Spec::Parse(item);
-        if (!parsed.ok()) {
-          return util::Status::InvalidArgument(std::string(token) + " axis: " +
-                                               parsed.status().message());
-        }
-        return Axis::Point{parsed->ToString(), SetOption(field, *parsed)};
-      },
-      axes, error_context);
+auto StrategyPoint(const char* token, Spec backup::SystemOptions::*field) {
+  return [token, field](const std::string& item) -> util::Result<Axis::Point> {
+    util::Result<Spec> parsed = Spec::Parse(item);
+    if (!parsed.ok()) {
+      return util::Status::InvalidArgument(std::string(token) + " axis: " +
+                                           parsed.status().message());
+    }
+    return Axis::Point{parsed->ToString(), SetOption(field, *parsed)};
+  };
 }
 
-// Every active axis of `spec` in expansion order, resolved once: scenario
-// files loaded, strategy specs parsed, link names looked up.
-util::Result<std::vector<Axis>> ResolveAxes(const SweepSpec& spec) {
+// The axes in expansion order: the one list that GroupCount(), ActiveAxes()
+// and ResolveAxes() walk. Each row passes `visit` the axis token, the
+// SweepSpec list holding its items, how one item resolves into its point,
+// and the prefix of a point's validation errors; the first error `visit`
+// returns stops the walk.
+template <typename Visit>
+util::Status ForEachAxis(const SweepSpec& spec, const Visit& visit) {
   using backup::SystemOptions;
-  std::vector<Axis> axes;
-  P2P_RETURN_IF_ERROR(AddAxis(
+  P2P_RETURN_IF_ERROR(visit(
       "threshold", spec.repair_thresholds,
       [](int t) -> util::Result<Axis::Point> {
         return Axis::Point{std::to_string(t),
                            SetOption(&SystemOptions::repair_threshold, t)};
       },
-      &axes));
-  P2P_RETURN_IF_ERROR(AddAxis(
+      ""));
+  P2P_RETURN_IF_ERROR(visit(
       "quota", spec.quotas,
       [](int q) -> util::Result<Axis::Point> {
         return Axis::Point{std::to_string(q),
                            SetOption(&SystemOptions::quota_blocks, q)};
       },
-      &axes));
+      ""));
   // A policy's explicit threshold must fit the base code geometry; its
   // validation errors say which axis they come from.
-  P2P_RETURN_IF_ERROR(AddStrategyAxis("policy", spec.policies,
-                                      &SystemOptions::policy, &axes,
-                                      "policy axis: "));
-  P2P_RETURN_IF_ERROR(AddStrategyAxis("selection", spec.selections,
-                                      &SystemOptions::selection, &axes));
-  P2P_RETURN_IF_ERROR(AddStrategyAxis("estimator", spec.estimators,
-                                      &SystemOptions::estimator, &axes));
-  P2P_RETURN_IF_ERROR(AddAxis(
+  P2P_RETURN_IF_ERROR(
+      visit("policy", spec.policies,
+            StrategyPoint("policy", &SystemOptions::policy), "policy axis: "));
+  P2P_RETURN_IF_ERROR(
+      visit("selection", spec.selections,
+            StrategyPoint("selection", &SystemOptions::selection), ""));
+  P2P_RETURN_IF_ERROR(
+      visit("estimator", spec.estimators,
+            StrategyPoint("estimator", &SystemOptions::estimator), ""));
+  P2P_RETURN_IF_ERROR(visit(
       "scenario", spec.scenarios,
       [](const std::string& name) -> util::Result<Axis::Point> {
         util::Result<Scenario> loaded = scenario::LoadScenario(name);
@@ -124,24 +123,36 @@ util::Result<std::vector<Axis>> ResolveAxes(const SweepSpec& spec) {
                              scenario::ApplyWorld(world, s);
                            }};
       },
-      &axes));
-  P2P_RETURN_IF_ERROR(AddAxis(
+      ""));
+  P2P_RETURN_IF_ERROR(visit(
       "visibility", spec.visibilities,
       [](backup::VisibilityModel v) -> util::Result<Axis::Point> {
         return Axis::Point{backup::VisibilityModelName(v),
                            SetOption(&SystemOptions::visibility, v)};
       },
-      &axes));
+      ""));
   // A link point turns the transfer scheduler on; an empty name (which
   // would mean instant repairs) is an unknown link here.
-  P2P_RETURN_IF_ERROR(AddAxis(
+  P2P_RETURN_IF_ERROR(visit(
       "link", spec.links,
       [](const std::string& link) -> util::Result<Axis::Point> {
         P2P_RETURN_IF_ERROR(transfer::FindLinkProfile(link).status());
         return Axis::Point{link,
                            SetOption(&SystemOptions::transfer_link, link)};
       },
-      &axes));
+      ""));
+  return util::Status::OK();
+}
+
+// Every active axis of `spec` in expansion order, resolved once: scenario
+// files loaded, strategy specs parsed, link names looked up.
+util::Result<std::vector<Axis>> ResolveAxes(const SweepSpec& spec) {
+  std::vector<Axis> axes;
+  P2P_RETURN_IF_ERROR(ForEachAxis(
+      spec, [&axes](const char* token, const auto& items, const auto& resolve,
+                    const char* error_context) {
+        return AddAxis(token, items, resolve, error_context, &axes);
+      }));
   return axes;
 }
 
@@ -193,11 +204,13 @@ util::Status SweepSpec::Validate() const {
 }
 
 size_t SweepSpec::GroupCount() const {
-  auto dim = [](size_t n) { return n == 0 ? size_t{1} : n; };
-  return dim(repair_thresholds.size()) * dim(quotas.size()) *
-         dim(policies.size()) * dim(selections.size()) *
-         dim(estimators.size()) * dim(scenarios.size()) *
-         dim(visibilities.size()) * dim(links.size());
+  size_t groups = 1;
+  ForEachAxis(*this, [&groups](const char*, const auto& items, const auto&,
+                               const char*) {
+    groups *= std::max<size_t>(items.size(), 1);  // empty: the base value
+    return util::Status::OK();
+  });
+  return groups;
 }
 
 size_t SweepSpec::CellCount() const {
@@ -206,14 +219,11 @@ size_t SweepSpec::CellCount() const {
 
 std::vector<std::string> SweepSpec::ActiveAxes() const {
   std::vector<std::string> axes;
-  if (!repair_thresholds.empty()) axes.push_back("threshold");
-  if (!quotas.empty()) axes.push_back("quota");
-  if (!policies.empty()) axes.push_back("policy");
-  if (!selections.empty()) axes.push_back("selection");
-  if (!estimators.empty()) axes.push_back("estimator");
-  if (!scenarios.empty()) axes.push_back("scenario");
-  if (!visibilities.empty()) axes.push_back("visibility");
-  if (!links.empty()) axes.push_back("link");
+  ForEachAxis(*this, [&axes](const char* token, const auto& items,
+                             const auto&, const char*) {
+    if (!items.empty()) axes.push_back(token);
+    return util::Status::OK();
+  });
   if (replicates > 1) axes.push_back("rep");
   return axes;
 }

@@ -63,7 +63,8 @@ struct Cell {
 ///
 /// An empty axis vector means "keep the base value" and contributes one
 /// implicit point (and no coordinate column). Expansion order is row-major
-/// with the axes in declaration order below and replicates innermost.
+/// with the axes in declaration order below and replicates innermost;
+/// spec.cc lists the axes once, in that order, for every walk over them.
 struct SweepSpec {
   Scenario base;
 

@@ -1,6 +1,6 @@
 // Tabular result emission: the figure/table benches print gnuplot-ready TSV
 // plus aligned human-readable tables through this one writer, so every
-// artefact in EXPERIMENTS.md has a uniform, parseable format.
+// bench artefact has a uniform, parseable format.
 
 #ifndef P2P_UTIL_TABLE_H_
 #define P2P_UTIL_TABLE_H_

@@ -100,17 +100,16 @@ TEST(AcceptanceTest, MutualAcceptRequiresBothSides) {
 
 // --- Lifetime estimators ---
 
-PeerObservation Obs(sim::Round age, double availability = 1.0,
-                    sim::Round rounds_since_seen = 0) {
+PeerObservation Obs(sim::Round age, double availability = 1.0) {
   PeerObservation obs;
   obs.age = age;
   obs.availability = availability;
-  obs.rounds_since_seen = rounds_since_seen;
   return obs;
 }
 
 TEST(EstimatorTest, AgeRankSaturatesAtHorizon) {
-  AgeRankEstimator est(kL);
+  LifetimeEstimator est(kL);
+  EXPECT_FALSE(est.reads_availability());
   EXPECT_LT(est.StabilityScore(Obs(10)), est.StabilityScore(Obs(100)));
   EXPECT_DOUBLE_EQ(est.StabilityScore(Obs(kL)),
                    est.StabilityScore(Obs(5 * kL)));
@@ -119,59 +118,15 @@ TEST(EstimatorTest, AgeRankSaturatesAtHorizon) {
                    est.StabilityScore(Obs(100, 0.9)));
 }
 
-TEST(EstimatorTest, ParetoResidualLinearInAge) {
-  ParetoResidualEstimator est(24.0, 2.0);
-  // E[T - a | T > a] = a / (shape - 1) = a for shape 2.
-  EXPECT_NEAR(est.ExpectedResidualRounds(Obs(1000)), 1000.0, 1e-9);
-  EXPECT_NEAR(est.ExpectedResidualRounds(Obs(4000)), 4000.0, 1e-9);
-  // Below the scale, conditioning clamps at the scale.
-  EXPECT_NEAR(est.ExpectedResidualRounds(Obs(1)), 24.0, 1e-9);
-}
-
-TEST(EstimatorTest, HeavyTailStillMonotone) {
-  ParetoResidualEstimator est(24.0, 0.9);  // infinite mean regime
-  EXPECT_LT(est.StabilityScore(Obs(100)), est.StabilityScore(Obs(1000)));
-}
-
-TEST(EstimatorTest, EmpiricalDegeneratesToAgeRankWithoutData) {
-  EmpiricalResidualEstimator est(90, sim::kRoundsPerDay, kL);
-  // No departures observed: the score is the pure (normalized) age rank.
-  EXPECT_LT(est.StabilityScore(Obs(10)), est.StabilityScore(Obs(100)));
-  EXPECT_DOUBLE_EQ(est.StabilityScore(Obs(kL)),
-                   est.StabilityScore(Obs(5 * kL)));
-  EXPECT_EQ(est.observed_departures(), 0);
-  // And the residual falls back to the optimistic age proxy.
-  EXPECT_DOUBLE_EQ(est.ExpectedResidualRounds(Obs(500)), 500.0);
-}
-
-TEST(EstimatorTest, EmpiricalLearnsDepartureDistribution) {
-  EmpiricalResidualEstimator est(90, sim::kRoundsPerDay, kL);
-  // A burst of early departures around day 2 and a few late ones at day 40.
-  for (int i = 0; i < 100; ++i) est.ObserveDeparture(2 * sim::kRoundsPerDay);
-  for (int i = 0; i < 10; ++i) est.ObserveDeparture(40 * sim::kRoundsPerDay);
-  EXPECT_EQ(est.observed_departures(), 110);
-
-  // A peer past the early-departure hump has outlived ~100 observed
-  // departures; a newborn has outlived none.
-  const double young = est.StabilityScore(Obs(1 * sim::kRoundsPerDay));
-  const double seasoned = est.StabilityScore(Obs(10 * sim::kRoundsPerDay));
-  const double elder = est.StabilityScore(Obs(60 * sim::kRoundsPerDay));
-  EXPECT_LT(young, 100.0);
-  EXPECT_GT(seasoned, 99.0);
-  EXPECT_GT(elder, seasoned);
-
-  // Residual at day 10: only the day-40 departures lie beyond, 30 days out.
-  EXPECT_NEAR(est.ExpectedResidualRounds(Obs(10 * sim::kRoundsPerDay)),
-              30.0 * sim::kRoundsPerDay, 1e-6);
-}
-
 TEST(EstimatorTest, AvailabilityWeightedDiscountsFlakyPeers) {
-  AvailabilityWeightedEstimator est(kL, /*exponent=*/1.0, /*floor=*/0.05);
+  LifetimeEstimator est(kL, /*exponent=*/1.0, /*floor=*/0.05);
+  EXPECT_TRUE(est.reads_availability());
   // Same age: the reachable peer wins.
   EXPECT_GT(est.StabilityScore(Obs(1000, 0.9)),
             est.StabilityScore(Obs(1000, 0.2)));
   // Exponent 0 is pure age rank, availability-oblivious.
-  AvailabilityWeightedEstimator flat(kL, 0.0, 0.05);
+  LifetimeEstimator flat(kL, 0.0, 0.05);
+  EXPECT_FALSE(flat.reads_availability());
   EXPECT_DOUBLE_EQ(flat.StabilityScore(Obs(1000, 0.9)),
                    flat.StabilityScore(Obs(1000, 0.2)));
   EXPECT_DOUBLE_EQ(flat.StabilityScore(Obs(1000, 0.5)), 1000.0);
@@ -603,8 +558,6 @@ TEST(EstimatorSpecTest, ParseRenderRoundTrips) {
   for (const char* text : {
            "age-rank",
            "age-rank{horizon=2160}",
-           "pareto-residual{scale=24,shape=2}",
-           "empirical-residual{bucket_rounds=24,buckets=90}",
            "availability-weighted{exponent=2,floor=0.1}",
        }) {
     SCOPED_TRACE(text);
@@ -618,21 +571,24 @@ TEST(EstimatorSpecTest, ParseRenderRoundTrips) {
 }
 
 TEST(EstimatorSpecTest, ErrorsNameTheOffendingToken) {
-  auto unknown = EstimatorSpec::Parse("crystal-ball");
-  EXPECT_TRUE(unknown.status().IsInvalidArgument());
-  EXPECT_NE(unknown.status().message().find("crystal-ball"),
-            std::string::npos);
-
-  auto bad_param = EstimatorSpec::Parse("age-rank{half_life=3}");
-  EXPECT_TRUE(bad_param.status().IsInvalidArgument());
-  EXPECT_NE(bad_param.status().message().find("half_life"), std::string::npos);
-
-  auto bad_value = EstimatorSpec::Parse("pareto-residual{shape=steep}");
-  EXPECT_NE(bad_value.status().message().find("steep"), std::string::npos);
-
-  auto out_of_range = EstimatorSpec::Parse("availability-weighted{floor=2}");
-  EXPECT_TRUE(out_of_range.status().IsInvalidArgument());
-  EXPECT_NE(out_of_range.status().message().find("floor"), std::string::npos);
+  // Each bad spec fails with InvalidArgument naming the listed token.
+  const std::pair<const char*, const char*> kCases[] = {
+      {"crystal-ball", "crystal-ball"},
+      {"age-rank{half_life=3}", "half_life"},
+      {"availability-weighted{exponent=steep}", "steep"},
+      {"availability-weighted{floor=2}", "floor"},
+      // Deleted rows: their scores were monotone in age, so they placed
+      // exactly as age-rank did.
+      {"pareto-residual", "pareto-residual"},
+      {"empirical-residual{buckets=5}", "empirical-residual"},
+  };
+  for (const auto& [text, token] : kCases) {
+    SCOPED_TRACE(text);
+    auto spec = EstimatorSpec::Parse(text);
+    EXPECT_TRUE(spec.status().IsInvalidArgument());
+    EXPECT_NE(spec.status().message().find(token), std::string::npos)
+        << spec.status().message();
+  }
 
   EstimatorSpec hand_built;
   hand_built.name = "no-such-estimator";
@@ -640,22 +596,19 @@ TEST(EstimatorSpecTest, ErrorsNameTheOffendingToken) {
 }
 
 TEST(EstimatorSpecTest, RegistryInstantiatesEveryBuiltin) {
-  // Each table row builds the class it names.
-  const std::pair<const char*, std::type_index> kRows[] = {
-      {"age-rank", typeid(AgeRankEstimator)},
-      {"pareto-residual", typeid(ParetoResidualEstimator)},
-      {"empirical-residual", typeid(EmpiricalResidualEstimator)},
-      {"availability-weighted", typeid(AvailabilityWeightedEstimator)},
+  // Each table row builds the one estimator class; only the rows that
+  // weight by uptime read availability.
+  const std::pair<const char*, bool> kRows[] = {
+      {"age-rank", false},
+      {"availability-weighted", true},
   };
-  for (const auto& [name, type] : kRows) {
+  for (const auto& [name, reads_availability] : kRows) {
     auto spec = EstimatorSpec::Parse(name);
     ASSERT_TRUE(spec.ok()) << spec.status().ToString();
     auto estimator = MakeEstimator(*spec, StrategyEnv{});
     ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
-    const LifetimeEstimator& built = **estimator;
-    EXPECT_EQ(std::type_index(typeid(built)), type) << name;
-    // Fresh instance per call: stateful estimators must not share history
-    // across concurrently running networks.
+    EXPECT_EQ((*estimator)->reads_availability(), reads_availability) << name;
+    // Fresh instance per call: no two networks share one.
     auto second = MakeEstimator(*spec, StrategyEnv{});
     ASSERT_TRUE(second.ok());
     EXPECT_NE(estimator->get(), second->get());

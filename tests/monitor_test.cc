@@ -119,7 +119,6 @@ TEST(MonitorTest, IdRecyclingFullyResetsHistory) {
   const auto fresh = mon.Observe(0, 100, 150);
   EXPECT_EQ(fresh.age, 50);
   EXPECT_DOUBLE_EQ(fresh.availability, 0.0);
-  EXPECT_EQ(fresh.rounds_since_seen, 50);  // its whole (new) age
 
   // The new incarnation accumulates availability from scratch: 20 online
   // rounds out of the 100-round window, none inherited from the old peer.
@@ -128,7 +127,7 @@ TEST(MonitorTest, IdRecyclingFullyResetsHistory) {
   EXPECT_NEAR(mon.AvailabilityOver(0, 100, 200), 0.2, 1e-12);
 }
 
-TEST(MonitorTest, ObserveReportsTheFullTriple) {
+TEST(MonitorTest, ObserveReportsAgeAndAvailability) {
   AvailabilityMonitor mon(2, /*history_window=*/100);
   mon.RecordJoin(0, 0);
   mon.RecordConnect(0, 0);
@@ -137,12 +136,12 @@ TEST(MonitorTest, ObserveReportsTheFullTriple) {
   const auto offline = mon.Observe(0, 100, 100);
   EXPECT_EQ(offline.age, 100);
   EXPECT_NEAR(offline.availability, 0.6, 1e-12);
-  EXPECT_EQ(offline.rounds_since_seen, 40);
+  EXPECT_EQ(mon.LastSeen(0, 100), 60);
 
   mon.RecordConnect(0, 110);
   const auto online = mon.Observe(0, 100, 120);
   EXPECT_EQ(online.age, 120);
-  EXPECT_EQ(online.rounds_since_seen, 0);  // online right now
+  EXPECT_EQ(mon.LastSeen(0, 120), 120);  // online right now
   // Window (20, 120]: online [20, 60) and [110, 120).
   EXPECT_NEAR(online.availability, 0.5, 1e-12);
 }
@@ -156,7 +155,7 @@ TEST(MonitorTest, ObserveFreshAfterEvents) {
   EXPECT_NEAR(mon.Observe(0, 50, 50).availability, 1.0, 1e-12);
   EXPECT_NEAR(mon.Observe(0, 50, 50).availability, 1.0, 1e-12);
   mon.RecordDisconnect(0, 50);
-  EXPECT_EQ(mon.Observe(0, 50, 50).rounds_since_seen, 0);
+  EXPECT_EQ(mon.LastSeen(0, 50), 50);
   // A different window in the same round gives its own answer.
   mon.RecordConnect(0, 75);
   EXPECT_NEAR(mon.Observe(0, 100, 100).availability, 0.75, 1e-12);

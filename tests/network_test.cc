@@ -395,9 +395,8 @@ TEST(NetworkTest, EstimatorsRun) {
   // short run with the full invariant set intact.
   const auto profiles = churn::ProfileSet::Paper();
   for (const char* estimator :
-       {"age-rank", "pareto-residual", "empirical-residual",
-        "availability-weighted", "availability-weighted{exponent=4,floor=0}",
-        "empirical-residual{bucket_rounds=72,buckets=30}"}) {
+       {"age-rank", "age-rank{horizon=72}", "availability-weighted",
+        "availability-weighted{exponent=4,floor=0}"}) {
     SCOPED_TRACE(estimator);
     SystemOptions opts = SmallOptions();
     auto spec = core::EstimatorSpec::Parse(estimator);
@@ -406,24 +405,6 @@ TEST(NetworkTest, EstimatorsRun) {
     const auto r = RunSmall(opts, 3000, 53, profiles, 2);
     EXPECT_GT(r.repairs, 0);
   }
-}
-
-TEST(NetworkTest, EmpiricalEstimatorLearnsFromDepartures) {
-  // The online histogram sees every definitive departure of the run.
-  const auto profiles = churn::ProfileSet::Paper();
-  SystemOptions opts = SmallOptions();
-  opts.estimator = *core::EstimatorSpec::Parse("empirical-residual");
-  sim::EngineOptions eopts;
-  eopts.end_round = sim::MonthsToRounds(4);  // beyond erratic lifetimes
-  eopts.seed = 9;
-  sim::Engine engine(eopts);
-  BackupNetwork network(&engine, &profiles, opts);
-  engine.Run();
-  ASSERT_GT(network.metrics().departures(), 0);
-  const auto& est = static_cast<const core::EmpiricalResidualEstimator&>(
-      network.estimator());
-  EXPECT_EQ(est.observed_departures(), network.metrics().departures());
-  network.CheckInvariants();
 }
 
 TEST(NetworkTest, AvailabilityWeightedEstimatorPrefersStableHosts) {

@@ -202,16 +202,9 @@ TEST(StrategyProperty, StabilityScoreMonotoneInAgeForEveryEstimator) {
       ++valid_trials;
       auto estimator = core::MakeEstimator(spec, env);
       ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
-      // Exercise the online-learning path too: a random departure history
-      // must not break monotonicity of the empirical CDF.
-      const int departures = static_cast<int>(rng.UniformInt(0, 40));
-      for (int d = 0; d < departures; ++d) {
-        (*estimator)->ObserveDeparture(rng.UniformInt(0, 200 * 24));
-      }
       for (int probe = 0; probe < 20; ++probe) {
         core::PeerObservation obs;
         obs.availability = rng.UniformDouble(0.0, 1.0);
-        obs.rounds_since_seen = rng.UniformInt(0, 48);
         double prev_score = -1.0;
         sim::Round age = 0;
         while (age < 400 * 24) {
@@ -232,12 +225,11 @@ TEST(StrategyProperty, StabilityScoreMonotoneInAgeForEveryEstimator) {
 
 // --- Estimator registry: age-only estimators ignore what they skip. ---
 //
-// An estimator whose ReadsAvailability() is false is scored from an
+// An estimator whose reads_availability() is false is scored from an
 // observation the monitor did not measure availability for (age-only
-// scoring). That is only sound if its score really ignores the field - and
-// rounds_since_seen, which no estimator reads today - so sweep every such
-// table row under drawn parameters and departure histories: changing
-// availability and rounds_since_seen at fixed age must not move the score.
+// scoring). That is only sound if its score really ignores the field, so
+// sweep every such table row under drawn parameters: changing availability
+// at fixed age must not move the score.
 
 TEST(StrategyProperty, AgeOnlyEstimatorsIgnoreAvailability) {
   util::Rng rng(20261017);
@@ -250,7 +242,7 @@ TEST(StrategyProperty, AgeOnlyEstimatorsIgnoreAvailability) {
     spec.name = descriptor.name;
     auto defaults = core::MakeEstimator(spec, env);
     ASSERT_TRUE(defaults.ok()) << defaults.status().ToString();
-    if ((*defaults)->ReadsAvailability()) continue;  // nothing to hold
+    if ((*defaults)->reads_availability()) continue;  // nothing to hold
     ++age_only;
     for (int trial = 0; trial < 50; ++trial) {
       if (trial % 2 == 1) {
@@ -271,27 +263,63 @@ TEST(StrategyProperty, AgeOnlyEstimatorsIgnoreAvailability) {
       if (!spec.Validate().ok()) continue;
       auto estimator = core::MakeEstimator(spec, env);
       ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
-      ASSERT_FALSE((*estimator)->ReadsAvailability());
-      const int departures = static_cast<int>(rng.UniformInt(0, 40));
-      for (int d = 0; d < departures; ++d) {
-        (*estimator)->ObserveDeparture(rng.UniformInt(0, 200 * 24));
-      }
+      ASSERT_FALSE((*estimator)->reads_availability());
       for (int probe = 0; probe < 20; ++probe) {
         core::PeerObservation base;  // availability 0, as ObserveAge leaves it
         base.age = rng.UniformInt(0, 400 * 24);
         const double want = (*estimator)->StabilityScore(base);
         core::PeerObservation varied = base;
         varied.availability = rng.UniformDouble(0.0, 1.0);
-        varied.rounds_since_seen = rng.UniformInt(0, base.age);
         ASSERT_EQ((*estimator)->StabilityScore(varied), want)
             << spec.ToString() << " age=" << base.age
-            << " availability=" << varied.availability
-            << " rounds_since_seen=" << varied.rounds_since_seen;
+            << " availability=" << varied.availability;
       }
     }
   }
-  // age-rank, pareto-residual and empirical-residual skip the window search.
-  EXPECT_EQ(age_only, 3);
+  // Only age-rank skips the window search.
+  EXPECT_EQ(age_only, 1);
+}
+
+// --- Estimator registry: every row but age-rank changes a placement. ---
+//
+// Selection ranks by (score, age), so a row whose score never decreases
+// with age places exactly as age-rank does: the same estimator under
+// another name. Run every row against age-rank on a registered scenario
+// under common random numbers (one sweep, one seed): each must change at
+// least one placement, which shows as a different run report.
+
+TEST(StrategyProperty, EveryEstimatorRowChangesAPlacement) {
+  auto world = scenario::LoadScenario("paper");
+  ASSERT_TRUE(world.ok()) << world.status().ToString();
+  sweep::SweepSpec spec;
+  spec.base = *world;
+  spec.base.peers = 400;
+  spec.base.rounds = 3000;
+  spec.base.seed = 7;
+  for (const core::EstimatorDescriptor& descriptor :
+       core::Family<core::LifetimeEstimator>().strategies) {
+    spec.estimators.push_back(descriptor.name);
+  }
+  ASSERT_EQ(spec.estimators.front(), "age-rank");
+  ASSERT_GT(spec.estimators.size(), 1u);
+
+  sweep::RunnerOptions ropts;
+  ropts.threads = 2;
+  auto results = sweep::RunSweep(spec, ropts);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  const metrics::RunReport& age_rank = results->front().outcome.report;
+  for (size_t cell = 1; cell < results->size(); ++cell) {
+    SCOPED_TRACE(spec.estimators[cell]);
+    const metrics::RunReport& report = (*results)[cell].outcome.report;
+    ASSERT_EQ(report.values().size(), age_rank.values().size());
+    bool differs = false;
+    for (size_t i = 0; i < report.values().size(); ++i) {
+      const metrics::MetricValue& a = report.values()[i];
+      const metrics::MetricValue& b = age_rank.values()[i];
+      differs |= a.scalar != b.scalar || a.per_category != b.per_category;
+    }
+    EXPECT_TRUE(differs) << "every placement equals age-rank's";
+  }
 }
 
 // --- Metrics: replicate moments stay inside the per-cell envelope. ---

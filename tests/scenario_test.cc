@@ -384,6 +384,11 @@ TEST(TextTest, ErrorsNameLineAndToken) {
       {"name = x\noptions.estimator = crystal-ball\n", {"crystal-ball"}},
       {"name = x\noptions.estimator = age-rank{horizon=forever}\n",
        {"forever"}},
+      // Deleted estimator rows (they placed exactly as age-rank did).
+      {"name = x\noptions.estimator = pareto-residual\n",
+       {"line 2", "pareto-residual"}},
+      {"name = x\noptions.estimator = empirical-residual{buckets=5}\n",
+       {"line 2", "empirical-residual"}},
       // Integer options outside int range are rejected, not wrapped.
       {"name = x\noptions.k = 4294967424\n",
        {"line 2", "options.k", "4294967424"}},

@@ -461,10 +461,18 @@ TEST(SweepSpecTest, EstimatorAxisResolvesSpecsAndRejectsUnknownTokens) {
   EXPECT_NE(bad.message().find("no-such-estimator"), std::string::npos);
   EXPECT_FALSE(spec.Expand().ok());
 
-  spec.estimators = {"pareto-residual{shape=999}"};
+  spec.estimators = {"availability-weighted{exponent=999}"};
   bad = spec.Validate();
   EXPECT_TRUE(bad.IsInvalidArgument());
-  EXPECT_NE(bad.message().find("shape"), std::string::npos);
+  EXPECT_NE(bad.message().find("exponent"), std::string::npos);
+
+  // Deleted rows fail like any unknown name.
+  for (const char* removed : {"pareto-residual", "empirical-residual"}) {
+    spec.estimators = {"age-rank", removed};
+    bad = spec.Validate();
+    EXPECT_TRUE(bad.IsInvalidArgument());
+    EXPECT_NE(bad.message().find(removed), std::string::npos);
+  }
 }
 
 TEST(RunnerTest, DefaultEstimatorSpecsMatchLegacyAgePath) {
@@ -505,13 +513,13 @@ TEST(RunnerTest, DefaultEstimatorSpecsMatchLegacyAgePath) {
 
 TEST(RunnerTest, EstimatorAxisIsThreadCountInvariant) {
   // The estimator axis must emit byte-identical CSV at 1 and 8 threads,
-  // like every other axis - including the stateful empirical estimator
-  // (its histogram is per-network, so scheduling cannot leak across cells).
+  // like every other axis.
   SweepSpec spec;
   spec.base.peers = 120;
   spec.base.rounds = 400;
   spec.base.seed = 17;
-  spec.estimators = {"age-rank", "pareto-residual", "empirical-residual",
+  spec.estimators = {"age-rank", "age-rank{horizon=48}",
+                     "availability-weighted",
                      "availability-weighted{exponent=2}"};
 
   std::string csv[2];
@@ -529,7 +537,7 @@ TEST(RunnerTest, EstimatorAxisIsThreadCountInvariant) {
   }
   EXPECT_EQ(csv[0], csv[1]);
   EXPECT_NE(csv[0].find("estimator"), std::string::npos);
-  EXPECT_NE(csv[0].find("empirical-residual"), std::string::npos);
+  EXPECT_NE(csv[0].find("age-rank{horizon=48}"), std::string::npos);
   EXPECT_NE(csv[0].find("availability-weighted{exponent=2}"),
             std::string::npos);
 }
